@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 
 from .errors import NonFiniteInput, NonScalarLoss, ShapeMismatch
+from .geom import nearest_point_indices, quat_to_matrix
 
 ZERO_ROW_TOL = 1e-30
 
@@ -259,13 +260,6 @@ def scalar_scale(a: Tensor, c: float) -> Tensor:
     return _result(c * a.values, (a,), back)
 
 
-def _rotate(w, v, pts):
-    """Rotate (..., 3) points by per-row unit quaternions w (...,), v (..., 3)."""
-    c1 = np.cross(v, pts)
-    c2 = np.cross(v, c1)
-    return pts + 2.0 * w[..., None] * c1 + 2.0 * c2
-
-
 def mean_pose_point_distance(quats: Tensor, trans: Tensor, points: np.ndarray,
                              targets: np.ndarray, sel: np.ndarray | None = None,
                              eps: float = 1e-12) -> Tensor:
@@ -319,17 +313,19 @@ def mean_pose_point_distance(quats: Tensor, trans: Tensor, points: np.ndarray,
 
 def nearest_point_selection(quats_values: np.ndarray, trans_values: np.ndarray,
                             points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """For each candidate i and target k, index of the transformed model point
-    nearest to target k.  Detached: recomputed per step, no gradient."""
-    w = quats_values[:, 0]
-    v = quats_values[:, 1:]
-    sel = np.empty((quats_values.shape[0], targets.shape[0]), dtype=np.intp)
-    for i in range(quats_values.shape[0]):
-        moved = _rotate(w[i], v[i][None, :].repeat(points.shape[0], axis=0),
-                        points) + trans_values[i]
-        d2 = np.sum((moved[:, None, :] - targets[None, :, :]) ** 2, axis=2)
-        sel[i] = np.argmin(d2, axis=0)
-    return sel
+    """(N, K) index of the model point nearest to each target under each pose.
+
+    Candidate i maps model point p_j to R_i p_j + t_i.  Rotations preserve
+    length, so |R_i p_j + t_i - x_k| = |p_j - R_i^T (x_k - t_i)|: every
+    target is moved into each candidate's model frame by one batched matmul
+    and ``geom.nearest_point_indices`` searches the fixed model cloud for
+    all N * K queries at once.  Ties go to the lowest model index.  Working
+    memory is the (N, K, 3) model-frame targets plus the kernel's O(chunk * K)
+    score block.  Detached: recomputed per step, no gradient.
+    """
+    rot = quat_to_matrix(quats_values)                          # (N, 3, 3)
+    offsets = np.asarray(targets)[None, :, :] - trans_values[:, None, :]
+    return nearest_point_indices(offsets @ rot, points)         # rows R^T u
 
 
 # ---------------------------------------------------------------------------

@@ -470,16 +470,23 @@ def read_checkpoint(path):
         raise SchemaViolation(f"{path}: bad n_points")
     expected = expected_param_shapes(cfg.net_config(), n_points)
     params = {}
-    for entry in obj.get("tensors", []):
+    for i, entry in enumerate(obj.get("tensors", [])):
+        if not isinstance(entry, dict):
+            raise SchemaViolation(f"{path}: tensor entry {i} is not an object")
         name = entry.get("name")
         if name not in expected:
             raise SchemaViolation(f"{path}: unexpected tensor {name!r}")
-        shape = tuple(entry.get("shape", ()))
-        if shape != expected[name]:
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or tuple(shape) != expected[name]:
             raise SchemaViolation(
                 f"{path}: tensor {name!r} has shape {shape}, config implies "
                 f"{expected[name]}")
-        values = np.array(entry["values"], dtype=np.float64).reshape(shape)
+        size = int(np.prod(expected[name]))
+        values = entry.get("values")
+        if not isinstance(values, list) or len(values) != size:
+            raise SchemaViolation(
+                f"{path}: tensor {name!r} needs a list of {size} values")
+        values = np.array(values, dtype=np.float64).reshape(expected[name])
         params[name] = ad.Tensor(values, requires_grad=True)
     missing = set(expected) - set(params)
     if missing:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRecords, TooFewPoints
-from .geom import OrientedPointCloud, Pose
+from .geom import OrientedPointCloud, Pose, nearest_point_indices
 
 DEFAULT_AUC_MAX_THRESHOLD = 0.10  # meters
 
@@ -73,8 +73,8 @@ def add_metric(pred: Pose, gt: Pose, model: OrientedPointCloud) -> float:
 def adds_metric(pred: Pose, gt: Pose, model: OrientedPointCloud) -> float:
     a = pred.apply_points(model.positions)
     b = gt.apply_points(model.positions)
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    return float(np.mean(d.min(axis=0)))
+    idx = nearest_point_indices(b, a)
+    return float(np.mean(np.linalg.norm(a[idx] - b, axis=1)))
 
 
 def threshold_relative(fraction: float = 0.1):

@@ -4,6 +4,8 @@ import pytest
 import pairpose.autodiff as ad
 from pairpose.checks import run_op_grad_suites
 from pairpose.errors import NonScalarLoss, ShapeMismatch
+from pairpose.geom import NEAREST_CHUNK_ROWS, random_pose
+from pairpose.net import adds_loss
 
 
 class TestForward:
@@ -182,3 +184,82 @@ class TestAdam:
         state = ad.init_adam_state(params)
         with pytest.raises(ShapeMismatch):
             ad.adam_step(params, {"w": np.zeros((2, 2))}, state)
+
+
+def reference_selection(quats_values, trans_values, points, targets):
+    """Brute force: move the model cloud by each candidate pose in turn and
+    take the nearest moved point to every target."""
+    w = quats_values[:, 0]
+    v = quats_values[:, 1:]
+    sel = np.empty((quats_values.shape[0], targets.shape[0]), dtype=np.intp)
+    for i in range(quats_values.shape[0]):
+        vi = v[i][None, :].repeat(points.shape[0], axis=0)
+        c1 = np.cross(vi, points)
+        c2 = np.cross(vi, c1)
+        moved = points + 2.0 * w[i] * c1 + 2.0 * c2 + trans_values[i]
+        d2 = np.sum((moved[:, None, :] - targets[None, :, :]) ** 2, axis=2)
+        sel[i] = np.argmin(d2, axis=0)
+    return sel
+
+
+def selection_instance(rng, n_candidates, k, spread=0.3):
+    """Model cloud, noisy targets under a ground-truth pose, and candidate
+    poses scattered around it."""
+    points = rng.uniform(-0.1, 0.1, size=(k, 3))
+    gt = random_pose(rng, trans_scale=0.2)
+    targets = gt.apply_points(points) + rng.normal(0.0, 0.005, size=(k, 3))
+    poses = [random_pose(rng, max_angle=spread, trans_scale=0.02)
+             for _ in range(n_candidates)]
+    quats = np.array([p.q for p in poses])
+    trans = np.array([gt.t + p.t for p in poses])
+    return quats, trans, points, targets
+
+
+class TestNearestPointSelection:
+    def test_matches_brute_force_on_random_instances(self):
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            n, k = int(rng.integers(1, 40)), int(rng.integers(2, 300))
+            quats, trans, points, targets = selection_instance(rng, n, k)
+            targets = targets[:int(rng.integers(1, k + 1))]
+            np.testing.assert_array_equal(
+                ad.nearest_point_selection(quats, trans, points, targets),
+                reference_selection(quats, trans, points, targets))
+
+    @pytest.mark.parametrize("n,k", [(1, 7), (1, NEAREST_CHUNK_ROWS + 3),
+                                     (3, NEAREST_CHUNK_ROWS - 1),
+                                     (5, 2 * NEAREST_CHUNK_ROWS + 1)])
+    def test_sizes_off_the_chunk_grid(self, n, k):
+        assert (n * k) % NEAREST_CHUNK_ROWS != 0
+        quats, trans, points, targets = selection_instance(
+            np.random.default_rng(31 + n + k), n, k, spread=np.pi)
+        sel = ad.nearest_point_selection(quats, trans, points, targets)
+        assert sel.shape == (n, k)
+        np.testing.assert_array_equal(
+            sel, reference_selection(quats, trans, points, targets))
+
+    def test_duplicated_model_point_ties_to_lowest_index(self):
+        rng = np.random.default_rng(32)
+        k = NEAREST_CHUNK_ROWS + 3
+        quats, trans, points, _ = selection_instance(rng, 6, k, spread=0.05)
+        for keep, dup in ((5, 17), (2, k - 1)):
+            points[dup] = points[keep]
+        # candidate 0 maps the model exactly onto the targets
+        quats[0], trans[0] = (1.0, 0.0, 0.0, 0.0), 0.0
+        targets = points.copy()
+        sel = ad.nearest_point_selection(quats, trans, points, targets)
+        np.testing.assert_array_equal(
+            sel, reference_selection(quats, trans, points, targets))
+        assert sel[0, 17] == 5 and sel[0, k - 1] == 2
+
+    def test_adds_loss_matches_reference_selection(self):
+        rng = np.random.default_rng(33)
+        for _ in range(10):
+            n, k = int(rng.integers(1, 20)), int(rng.integers(2, 200))
+            quats, trans, points, targets = selection_instance(rng, n, k)
+            q, t = ad.Tensor(quats), ad.Tensor(trans)
+            expected = ad.mean_pose_point_distance(
+                q, t, points, targets,
+                sel=reference_selection(quats, trans, points, targets))
+            assert abs(adds_loss(q, t, points, targets).item()
+                       - expected.item()) <= 1e-15

@@ -225,6 +225,26 @@ class TestCheckpoint:
         with pytest.raises(SchemaViolation):
             fileio.read_checkpoint(path)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda tensors: tensors[0].pop("values"),
+        lambda tensors: tensors[0]["values"].pop(),
+        lambda tensors: tensors.__setitem__(0, ["not", "an", "object"]),
+    ], ids=["missing_values", "short_values", "non_dict_entry"])
+    def test_malformed_tensor_entry_rejected(self, tmp_path, corrupt):
+        import json
+        cfg = fileio.parse_config("psn_trunk=4,6\npsn_exterior_width=2\n"
+                                  "psn_out_width=4\nfeat_widths=4,6\n"
+                                  "feat_global_width=4\ndecode_width=4\n"
+                                  "head_hidden=6\n")
+        params = init_params(cfg.net_config(), 5, np.random.default_rng(10))
+        path = tmp_path / "ckpt.json"
+        fileio.write_checkpoint(path, params, cfg, 5)
+        obj = json.loads(path.read_text())
+        corrupt(obj["tensors"])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaViolation):
+            fileio.read_checkpoint(path)
+
     def test_random_round_trips(self, tmp_path):
         rng = np.random.default_rng(9)
         cfg = fileio.parse_config("psn_trunk=4,6\npsn_exterior_width=2\n"

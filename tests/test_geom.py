@@ -11,6 +11,7 @@ from pairpose.geom import (
     pose_invert,
     quat_from_axis_angle,
     quat_normalize,
+    quat_to_matrix,
     random_pose,
     rotation_geodesic_angle,
 )
@@ -110,6 +111,27 @@ class TestPoseAlgebra:
         for _ in range(10_000):
             p = pose_compose(p, random_pose(rng))
         assert abs(np.linalg.norm(p.q) - 1.0) < 1e-6
+
+
+class TestQuatToMatrix:
+    def test_batched_equals_per_quaternion(self):
+        rng = np.random.default_rng(8)
+        qs = np.array([random_pose(rng).q for _ in range(24)]).reshape(2, 3, 4, 4)
+        batched = quat_to_matrix(qs)
+        assert batched.shape == (2, 3, 4, 3, 3)
+        for idx in np.ndindex(qs.shape[:-1]):
+            assert np.array_equal(batched[idx], quat_to_matrix(qs[idx]))
+
+    def test_single_quaternion_keeps_scalar_formula(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            w, x, y, z = q = random_pose(rng).q
+            expected = np.array([
+                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            ])
+            assert np.array_equal(quat_to_matrix(q), expected)
 
 
 class TestGeodesicAngle:

@@ -78,6 +78,16 @@ class TestAddAdds:
                             for k in range(10)])
         assert adds_metric(a, b, cloud) == pytest.approx(expected, abs=1e-12)
 
+    def test_adds_equals_broadcast_formula(self):
+        rng = np.random.default_rng(7)
+        for cloud in [make_cloud(rng, n) for n in (2, 15, 130, 300)] + [
+                cylinder_cloud()]:
+            a, b = random_pose(rng), random_pose(rng)
+            pa = a.apply_points(cloud.positions)
+            pb = b.apply_points(cloud.positions)
+            d = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+            assert adds_metric(a, b, cloud) == float(np.mean(d.min(axis=0)))
+
     def test_cylinder_symmetry(self):
         cloud = cylinder_cloud()
         gt = Pose.identity()
