@@ -442,26 +442,53 @@ def _config_from_obj(obj) -> Config:
 
 
 def write_checkpoint(path, params: dict, cfg: Config, n_points: int):
-    obj = {
+    """Write checkpoint.v1, byte for byte what ``json.dump`` of the whole
+    object would write.  The header and then each tensor entry go through
+    ``json.dumps`` (the C encoder; ``json.dump`` runs the pure-Python one),
+    one tensor at a time so only one tensor's values list exists at once."""
+    header = json.dumps({
         "format": "checkpoint.v1",
         "n_points": n_points,
         "config": _config_to_obj(cfg),
-        "tensors": [
-            {"name": name, "shape": list(p.values.shape),
-             "values": p.values.reshape(-1).tolist()}
-            for name, p in sorted(params.items())
-        ],
-    }
+    })
     with open(path, "w") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(header[:-1] + ', "tensors": [')
+        for i, (name, p) in enumerate(sorted(params.items())):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps({"name": name, "shape": list(p.values.shape),
+                                 "values": p.values.reshape(-1).tolist()}))
+        fh.write("]}\n")
+
+
+def _tensor_values_hook(obj):
+    """``object_hook`` for checkpoint JSON: a ``values`` list that holds only
+    numbers becomes a 1-D float64 array as soon as its object is parsed, so
+    the float objects of the whole file never exist at once.  Any other
+    ``values`` stays a list, for ``read_checkpoint`` to reject."""
+    values = obj.get("values")
+    if isinstance(values, list):
+        try:
+            array = np.array(values)
+        except ValueError:      # nested lists of differing lengths
+            return obj
+        if array.ndim == 1 and array.dtype.kind in "fi":
+            obj["values"] = array.astype(np.float64, copy=False)
+    return obj
+
+
+def _read_text(path) -> str:
+    """The whole file, read in 1 MB pieces: the pieces fit into heap memory
+    freed earlier, where one whole-file read needs two fresh blocks of the
+    file's size at once (its bytes and their decoded string)."""
+    with open(path) as fh:
+        return "".join(iter(lambda: fh.read(1 << 20), ""))
 
 
 def read_checkpoint(path):
     """Load (params, config, n_points); tensor names and shapes must match
-    what the stored config implies."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    what the stored config implies, and every value must be a number."""
+    obj = json.loads(_read_text(path), object_hook=_tensor_values_hook)
     if obj.get("format") != "checkpoint.v1":
         raise SchemaViolation(f"{path}: expected checkpoint.v1")
     cfg = _config_from_obj(obj.get("config", {}))
@@ -483,11 +510,14 @@ def read_checkpoint(path):
                 f"{expected[name]}")
         size = int(np.prod(expected[name]))
         values = entry.get("values")
-        if not isinstance(values, list) or len(values) != size:
+        if isinstance(values, list):
+            raise SchemaViolation(
+                f"{path}: tensor {name!r} values must all be numbers")
+        if not isinstance(values, np.ndarray) or values.size != size:
             raise SchemaViolation(
                 f"{path}: tensor {name!r} needs a list of {size} values")
-        values = np.array(values, dtype=np.float64).reshape(expected[name])
-        params[name] = ad.Tensor(values, requires_grad=True)
+        params[name] = ad.Tensor(values.reshape(expected[name]),
+                                 requires_grad=True)
     missing = set(expected) - set(params)
     if missing:
         raise SchemaViolation(f"{path}: missing tensors {sorted(missing)}")

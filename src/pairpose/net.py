@@ -393,51 +393,80 @@ def _model_inputs(model: OrientedPointCloud):
 
 
 @dataclass
-class PreparedScene:
-    """Constant tensors for one training scene."""
+class SceneInputs:
+    """Network inputs for one scene; none of them depends on the pose."""
 
     xs_feat: ad.Tensor      # scene input for the branch extractor
     xs_psn: ad.Tensor       # scene input for the PSN (always 6 columns)
     xm_feat: ad.Tensor
     xm_psn: ad.Tensor
     center: np.ndarray
+
+
+@dataclass
+class CorrespondenceTargets:
+    """Ground-truth matches of both branch heads for one scene."""
+
+    scene_pos: ad.Tensor    # canonical coords of each scene point
+    scene_nrm: ad.Tensor
+    model_pos: ad.Tensor    # centered scene coords of each model point
+    model_nrm: ad.Tensor
+
+
+@dataclass
+class PreparedScene(SceneInputs):
+    """Inputs plus every training target for one scene."""
+
     gt: Pose
-    scene_target_pos: ad.Tensor   # canonical coords of each scene point
-    scene_target_nrm: ad.Tensor
-    model_target_pos: ad.Tensor   # centered scene coords of each model point
-    model_target_nrm: ad.Tensor
-    pose_targets: np.ndarray      # == model_target_pos values (ADD targets)
+    targets: CorrespondenceTargets
+    pose_targets: np.ndarray      # == targets.model_pos values (ADD targets)
     w_target: ad.Tensor | None
 
 
-def prepare_scene(scene: OrientedPointCloud, model: OrientedPointCloud,
-                  gt: Pose, cfg: NetConfig) -> PreparedScene:
+def scene_inputs(scene: OrientedPointCloud, model: OrientedPointCloud,
+                 cfg: NetConfig) -> SceneInputs:
+    """The network inputs of one scene, all that a forward pass reads."""
     if len(scene) != len(model):
         raise SizeMismatch(f"scene {len(scene)} vs model {len(model)} points")
     center, xs_feat, xs_psn = _scene_inputs(scene, cfg)
     xm_feat, xm_psn = _model_inputs(model)
+    return SceneInputs(xs_feat=xs_feat, xs_psn=xs_psn, xm_feat=xm_feat,
+                       xm_psn=xm_psn, center=center)
+
+
+def correspondence_targets(scene: OrientedPointCloud, model: OrientedPointCloud,
+                           gt: Pose, center: np.ndarray) -> CorrespondenceTargets:
+    """Where each scene point lies on the model and each model point in the
+    scene (centered by the scene's ``center``), under the true pose."""
     canonical = pose_apply(pose_invert(gt), scene, frame="canonical")
     posed_model = pose_apply(gt, model, frame="scene")
-    pose_targets = posed_model.positions - center
+    return CorrespondenceTargets(
+        scene_pos=ad.Tensor(canonical.positions),
+        scene_nrm=ad.Tensor(canonical.normals),
+        model_pos=ad.Tensor(posed_model.positions - center),
+        model_nrm=ad.Tensor(posed_model.normals),
+    )
+
+
+def prepare_scene(scene: OrientedPointCloud, model: OrientedPointCloud,
+                  gt: Pose, cfg: NetConfig) -> PreparedScene:
+    """A training scene: its inputs, its correspondence targets, and the
+    pose and PPF attention targets."""
+    inputs = scene_inputs(scene, model, cfg)
+    targets = correspondence_targets(scene, model, gt, inputs.center)
     w = None
     if cfg.uses_attention_map:
         gammas = PpfGammas(*cfg.gammas)
         w = ad.Tensor(attention_target(scene, model, gt, gammas).weights)
     return PreparedScene(
-        xs_feat=xs_feat, xs_psn=xs_psn, xm_feat=xm_feat, xm_psn=xm_psn,
-        center=center, gt=gt,
-        scene_target_pos=ad.Tensor(canonical.positions),
-        scene_target_nrm=ad.Tensor(canonical.normals),
-        model_target_pos=ad.Tensor(pose_targets),
-        model_target_nrm=ad.Tensor(posed_model.normals),
-        pose_targets=pose_targets,
-        w_target=w,
-    )
+        **vars(inputs), gt=gt, targets=targets,
+        pose_targets=targets.model_pos.values, w_target=w)
 
 
-def forward_all(prep: PreparedScene, params: dict, cfg: NetConfig,
+def forward_all(prep: SceneInputs, params: dict, cfg: NetConfig,
                 frozen_head_attention: np.ndarray | None = None):
-    """Run every active branch; returns a dict of output tensors.
+    """Run every active branch on a scene's inputs (a ``PreparedScene`` is
+    one too); returns a dict of output tensors.
 
     ``frozen_head_attention`` substitutes a constant array for the heads'
     attention input (used by finite-difference checks, where the detached
@@ -469,14 +498,19 @@ def forward_all(prep: PreparedScene, params: dict, cfg: NetConfig,
     return out
 
 
+def branch_losses(outputs: dict, targets: CorrespondenceTargets,
+                  epsilon: float):
+    """(L_s, L_m): each correspondence head against its targets."""
+    l_s = correspondence_loss(outputs["scene_pos"], outputs["scene_nrm"],
+                              targets.scene_pos, targets.scene_nrm, epsilon)
+    l_m = correspondence_loss(outputs["model_pos"], outputs["model_nrm"],
+                              targets.model_pos, targets.model_nrm, epsilon)
+    return l_s, l_m
+
+
 def scene_losses(prep: PreparedScene, outputs: dict, cfg: NetConfig,
                  symmetric: bool, model_points: np.ndarray):
-    l_s = correspondence_loss(outputs["scene_pos"], outputs["scene_nrm"],
-                              prep.scene_target_pos, prep.scene_target_nrm,
-                              cfg.epsilon)
-    l_m = correspondence_loss(outputs["model_pos"], outputs["model_nrm"],
-                              prep.model_target_pos, prep.model_target_nrm,
-                              cfg.epsilon)
+    l_s, l_m = branch_losses(outputs, prep.targets, cfg.epsilon)
     pose_fn = adds_loss if symmetric else add_loss
     l_d = pose_fn(outputs["quats"], outputs["trans"], model_points,
                   prep.pose_targets)
@@ -548,24 +582,31 @@ def train(dataset: Dataset, cfg: NetConfig, seed: int = 0):
 
 @dataclass
 class Prediction:
+    """One scene's prediction.  ``outputs`` holds the tensors of its forward
+    pass (see ``forward_all``), whose scene-frame coordinates are relative to
+    the scene centroid ``center``."""
+
     final_pose: Pose
     pose_set: PoseSet
     corr_scene: CorrespondenceSet
     corr_model: CorrespondenceSet
     attention: np.ndarray | None
+    outputs: dict
+    center: np.ndarray
 
 
 def predict(params: dict, cfg: NetConfig, scene: OrientedPointCloud,
             model: OrientedPointCloud, seed: int = 0) -> Prediction:
-    """Full pipeline: forward pass, both pair-alignment pose sets, the direct
+    """Full pipeline: one forward pass on the scene's inputs (no pose and no
+    PPF target is involved), both pair-alignment pose sets, the direct
     candidates, and their average."""
     frozen = detach_params(params)
-    prep = prepare_scene(scene, model, Pose.identity(), cfg)
-    outputs = forward_all(prep, frozen, cfg)
+    inputs = scene_inputs(scene, model, cfg)
+    outputs = forward_all(inputs, frozen, cfg)
 
     scene_match_pos = outputs["scene_pos"].values
     scene_match_nrm = outputs["scene_nrm"].values
-    model_match_pos = outputs["model_pos"].values + prep.center
+    model_match_pos = outputs["model_pos"].values + inputs.center
     model_match_nrm = outputs["model_nrm"].values
 
     corr_scene = CorrespondenceSet(scene.positions, scene.normals,
@@ -580,7 +621,7 @@ def predict(params: dict, cfg: NetConfig, scene: OrientedPointCloud,
     t_m = poses_from_matches(corr_model, cfg.num_pairs, int(seeds[1]))
 
     quats = outputs["quats"].values
-    trans = outputs["trans"].values + prep.center
+    trans = outputs["trans"].values + inputs.center
     t_d = PoseSet(tuple(Pose(q, t) for q, t in zip(quats, trans)),
                   ("direct",) * quats.shape[0])
 
@@ -589,12 +630,18 @@ def predict(params: dict, cfg: NetConfig, scene: OrientedPointCloud,
                  if outputs["attention"] is not None else None)
     return Prediction(final_pose=average_poses(pose_set), pose_set=pose_set,
                       corr_scene=corr_scene, corr_model=corr_model,
-                      attention=attention)
+                      attention=attention, outputs=outputs,
+                      center=inputs.center)
 
 
 def evaluate_dataset(params: dict, cfg: NetConfig, dataset: Dataset,
                      which: str = "test", seed: int = 0):
     """Evaluate the full pipeline on a dataset split.
+
+    Each scene costs one ``predict`` and so one forward pass: the
+    correspondence L1 is scored on that prediction's own head outputs
+    against the ground-truth correspondence targets, and no pose loss or
+    PPF target is built.
 
     Returns (records, diagnostics); diagnostics carries the mean test
     correspondence L1 (averaged over both directions) used by the ablation
@@ -607,10 +654,9 @@ def evaluate_dataset(params: dict, cfg: NetConfig, dataset: Dataset,
     if not recs:
         raise ValueError(f"dataset has no {which!r} scenes")
     diameter = model_diameter(dataset.model)
-    frozen = detach_params(params)
     records, corr_l1s = [], []
     for i, rec in enumerate(recs):
-        pred = predict(frozen, cfg, rec.scene, dataset.model,
+        pred = predict(params, cfg, rec.scene, dataset.model,
                        seed=int(np.random.SeedSequence((seed, i)).generate_state(1)[0]))
         records.append(EvalRecord(
             scene_id=f"{which}_{i}",
@@ -619,10 +665,9 @@ def evaluate_dataset(params: dict, cfg: NetConfig, dataset: Dataset,
             diameter=diameter,
             symmetric=dataset.symmetric,
         ))
-        prep = prepare_scene(rec.scene, dataset.model, rec.gt, cfg)
-        outputs = forward_all(prep, frozen, cfg)
-        l_d, l_s, l_m, _ = scene_losses(prep, outputs, cfg, dataset.symmetric,
-                                        dataset.model.positions)
+        targets = correspondence_targets(rec.scene, dataset.model, rec.gt,
+                                         pred.center)
+        l_s, l_m = branch_losses(pred.outputs, targets, cfg.epsilon)
         corr_l1s.append(0.5 * (l_s.item() + l_m.item()))
     diagnostics = {"corr_l1": float(np.mean(corr_l1s))}
     return records, diagnostics
@@ -636,8 +681,7 @@ def attention_match_rate(params: dict, cfg: NetConfig,
     rates = []
     for g in poses:
         scene = pose_apply(g, model, frame="scene")
-        prep = prepare_scene(scene, model, g, cfg)
-        outputs = forward_all(prep, frozen, cfg)
+        outputs = forward_all(scene_inputs(scene, model, cfg), frozen, cfg)
         m = outputs["attention"]
         if m is None:
             raise ValueError("config computes no attention map")

@@ -203,6 +203,25 @@ class TestTrainEvalCommands:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "SchemaViolation"
 
+    def test_eval_rejects_checkpoint_value_that_is_not_a_number(
+            self, tmp_path, toy_config, capsys):
+        from pairpose.net import init_params
+        cfg = fileio.load_config(toy_config)
+        ckpt = tmp_path / "checkpoint.json"
+        fileio.write_checkpoint(ckpt, init_params(cfg.net_config(), cfg.n,
+                                                  np.random.default_rng(0)),
+                                cfg, cfg.n)
+        obj = json.loads(ckpt.read_text())
+        obj["tensors"][0]["values"][0] = {}
+        ckpt.write_text(json.dumps(obj))
+        rc = main(["eval", "--dataset", str(tmp_path / "ds"),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "x"),
+                   "--config", toy_config])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "SchemaViolation"
+
 
 class TestGradcheckCommand:
     def test_report_and_exit_code(self, tmp_path):

@@ -245,6 +245,52 @@ class TestCheckpoint:
         with pytest.raises(SchemaViolation):
             fileio.read_checkpoint(path)
 
+    @pytest.mark.parametrize("element", [{}, "x", [1.0], None],
+                             ids=["object", "string", "list", "null"])
+    def test_non_number_value_rejected(self, tmp_path, element):
+        import json
+        cfg = fileio.parse_config("psn_trunk=4,6\npsn_exterior_width=2\n"
+                                  "psn_out_width=4\nfeat_widths=4,6\n"
+                                  "feat_global_width=4\ndecode_width=4\n"
+                                  "head_hidden=6\n")
+        params = init_params(cfg.net_config(), 5, np.random.default_rng(11))
+        path = tmp_path / "ckpt.json"
+        fileio.write_checkpoint(path, params, cfg, 5)
+        obj = json.loads(path.read_text())
+        obj["tensors"][1]["values"][0] = element
+        path.write_text(json.dumps(obj))
+        name = obj["tensors"][1]["name"]
+        with pytest.raises(SchemaViolation, match=repr(name)):
+            fileio.read_checkpoint(path)
+
+    @pytest.mark.parametrize("n", [3, 17])
+    def test_bytes_equal_json_dump_of_whole_object(self, tmp_path, n):
+        import json
+        cfg = fileio.parse_config("psn_trunk=4,6\npsn_exterior_width=2\n"
+                                  "psn_out_width=4\nfeat_widths=4,6\n"
+                                  "feat_global_width=4\ndecode_width=4\n"
+                                  "head_hidden=6\n")
+        params = init_params(cfg.net_config(), n, np.random.default_rng(n))
+        path = tmp_path / "ckpt.json"
+        fileio.write_checkpoint(path, params, cfg, n)
+        # the writer's original form: one json.dump of the whole object
+        obj = {
+            "format": "checkpoint.v1",
+            "n_points": n,
+            "config": {f: list(v) if isinstance(v, tuple) else v
+                       for f, v in vars(cfg).items()},
+            "tensors": [
+                {"name": name, "shape": list(p.values.shape),
+                 "values": p.values.reshape(-1).tolist()}
+                for name, p in sorted(params.items())
+            ],
+        }
+        reference = tmp_path / "reference.json"
+        with open(reference, "w") as fh:
+            json.dump(obj, fh)
+            fh.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_random_round_trips(self, tmp_path):
         rng = np.random.default_rng(9)
         cfg = fileio.parse_config("psn_trunk=4,6\npsn_exterior_width=2\n"

@@ -7,6 +7,12 @@ from pairpose.errors import NonFiniteLoss
 from pairpose.geom import OrientedPointCloud, Pose, pose_apply, random_pose
 from pairpose.metrics import model_diameter
 from pairpose.ppf import PpfGammas, attention_target
+from pairpose.solver import (
+    CorrespondenceSet,
+    PoseSet,
+    average_poses,
+    poses_from_matches,
+)
 from pairpose.synth import SceneSpec, ShapeSpec, make_dataset
 from tests.test_geom import make_cloud
 
@@ -32,7 +38,7 @@ def tiny_dataset(n_scenes=4, n=32, seed=0, kind="box_with_bump",
 
 
 def scene_tensors(cloud, cfg=TINY):
-    return net.prepare_scene(cloud, cloud, Pose.identity(), cfg)
+    return net.scene_inputs(cloud, cloud, cfg)
 
 
 class TestPsn:
@@ -381,3 +387,186 @@ class TestPredictEvaluate:
                  for _ in range(3)]
         rate = net.attention_match_rate(params, TINY, ds.model, poses)
         assert 0.0 <= rate <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the two-pass evaluation that evaluate_dataset replaced, kept as the oracle
+# ---------------------------------------------------------------------------
+
+def reference_predict(params, cfg, scene, model, seed=0):
+    """predict as it was: prepare_scene with an identity placeholder pose
+    (building a PPF target that nothing reads), then one forward pass."""
+    frozen = net.detach_params(params)
+    prep = net.prepare_scene(scene, model, Pose.identity(), cfg)
+    outputs = net.forward_all(prep, frozen, cfg)
+    corr_scene = CorrespondenceSet(scene.positions, scene.normals,
+                                   outputs["scene_pos"].values,
+                                   outputs["scene_nrm"].values,
+                                   "scene_to_model")
+    corr_model = CorrespondenceSet(model.positions, model.normals,
+                                   outputs["model_pos"].values + prep.center,
+                                   outputs["model_nrm"].values,
+                                   "model_to_scene")
+    seeds = np.random.SeedSequence((seed, 0)).generate_state(2)
+    t_s = poses_from_matches(corr_scene, cfg.num_pairs, int(seeds[0]))
+    t_m = poses_from_matches(corr_model, cfg.num_pairs, int(seeds[1]))
+    quats = outputs["quats"].values
+    trans = outputs["trans"].values + prep.center
+    t_d = PoseSet(tuple(Pose(q, t) for q, t in zip(quats, trans)),
+                  ("direct",) * quats.shape[0])
+    pose_set = PoseSet.union(t_d, t_s, t_m)
+    attention = (outputs["attention"].values.copy()
+                 if outputs["attention"] is not None else None)
+    return (average_poses(pose_set), pose_set, corr_scene, corr_model,
+            attention)
+
+
+def reference_evaluate(params, cfg, dataset, which="test", seed=0):
+    """evaluate_dataset as it was: predict, then a second prepare_scene and
+    forward_all per scene for the correspondence L1.  Returns (records,
+    diagnostics, the reference_predict tuple of each scene)."""
+    from pairpose.metrics import EvalRecord, add_metric, adds_metric
+
+    recs = {"train": dataset.train_records, "test": dataset.test_records,
+            "all": list(dataset.records)}[which]
+    diameter = model_diameter(dataset.model)
+    frozen = net.detach_params(params)
+    records, corr_l1s, preds = [], [], []
+    for i, rec in enumerate(recs):
+        pred = reference_predict(
+            frozen, cfg, rec.scene, dataset.model,
+            seed=int(np.random.SeedSequence((seed, i)).generate_state(1)[0]))
+        preds.append(pred)
+        records.append(EvalRecord(
+            scene_id=f"{which}_{i}",
+            add_error=add_metric(pred[0], rec.gt, dataset.model),
+            adds_error=adds_metric(pred[0], rec.gt, dataset.model),
+            diameter=diameter, symmetric=dataset.symmetric))
+        prep = net.prepare_scene(rec.scene, dataset.model, rec.gt, cfg)
+        outputs = net.forward_all(prep, frozen, cfg)
+        _, l_s, l_m, _ = net.scene_losses(prep, outputs, cfg, dataset.symmetric,
+                                          dataset.model.positions)
+        corr_l1s.append(0.5 * (l_s.item() + l_m.item()))
+    return records, {"corr_l1": float(np.mean(corr_l1s))}, preds
+
+
+def same_pose(a, b):
+    return np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+
+
+def same_correspondences(a, b):
+    return a.direction == b.direction and all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("source_positions", "source_normals", "target_positions",
+                  "target_normals"))
+
+
+class Counting:
+    """Monkeypatches net.<name> with a wrapper that counts its calls."""
+
+    def __init__(self, monkeypatch, *names):
+        self.calls = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(net, name, self._wrap(name, getattr(net, name)))
+
+    def _wrap(self, name, fn):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+MECHANISMS = {
+    "psn": {},
+    "branch": {"attention_source": "branch"},
+    "no_ppf_supervision": {"ppf_supervision": False},
+    "no_attention_map": {"attention_for_match": False,
+                         "attention_for_direct": False,
+                         "ppf_supervision": False},
+}
+
+
+class TestSinglePassEvaluation:
+    """evaluate_dataset runs one forward pass per scene and builds no PPF
+    target, and reproduces the two-pass reference bit for bit."""
+
+    @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+    @pytest.mark.parametrize("kind", ["box_with_bump", "box"])
+    def test_matches_two_pass_reference_exactly(self, monkeypatch, kind,
+                                                mechanism):
+        ds = tiny_dataset(n_scenes=5, n=24, seed=40, kind=kind,
+                          train_fraction=0.4)
+        assert ds.symmetric == (kind == "box")
+        cfg = net.NetConfig(**{**TINY.__dict__, **MECHANISMS[mechanism]})
+        params = net.init_params(cfg, 24, np.random.default_rng(41))
+        ref_records, ref_diag, ref_preds = reference_evaluate(
+            params, cfg, ds, which="test", seed=5)
+
+        preds = []
+        original = net.predict
+
+        def recording_predict(*args, **kwargs):
+            pred = original(*args, **kwargs)
+            preds.append(pred)
+            return pred
+
+        monkeypatch.setattr(net, "predict", recording_predict)
+        records, diag = net.evaluate_dataset(params, cfg, ds, which="test",
+                                             seed=5)
+        assert records == ref_records
+        assert diag["corr_l1"] == ref_diag["corr_l1"]
+        assert len(preds) == len(ref_preds) == 3
+        for pred, (final, pose_set, corr_s, corr_m, attention) in zip(
+                preds, ref_preds):
+            assert same_pose(pred.final_pose, final)
+            assert pred.pose_set.provenance == pose_set.provenance
+            assert all(same_pose(a, b)
+                       for a, b in zip(pred.pose_set.poses, pose_set.poses))
+            assert same_correspondences(pred.corr_scene, corr_s)
+            assert same_correspondences(pred.corr_model, corr_m)
+            if mechanism == "no_attention_map":
+                assert pred.attention is None and attention is None
+            else:
+                assert np.array_equal(pred.attention, attention)
+
+    def test_one_predict_and_one_forward_per_scene_no_ppf_target(
+            self, monkeypatch):
+        ds = tiny_dataset(n_scenes=5, n=24, seed=42, train_fraction=0.4)
+        params = net.init_params(TINY, 24, np.random.default_rng(43))
+        calls = Counting(monkeypatch, "predict", "forward_all",
+                         "attention_target").calls
+        records, _ = net.evaluate_dataset(params, TINY, ds, which="test")
+        assert len(records) == 3
+        assert calls == {"predict": 3, "forward_all": 3,
+                         "attention_target": 0}
+
+    def test_attention_match_rate_builds_no_ppf_target(self, monkeypatch):
+        ds = tiny_dataset(n_scenes=1, n=24, seed=44)
+        params = net.init_params(TINY, 24, np.random.default_rng(45))
+        poses = [random_pose(np.random.default_rng(46), max_angle=0.5,
+                             trans_scale=0.1) for _ in range(2)]
+        calls = Counting(monkeypatch, "forward_all", "attention_target").calls
+        net.attention_match_rate(params, TINY, ds.model, poses)
+        assert calls == {"forward_all": 2, "attention_target": 0}
+
+    def test_train_builds_one_ppf_target_per_training_scene(self,
+                                                            monkeypatch):
+        ds = tiny_dataset(n_scenes=3, n=24, seed=47)
+        cfg = net.NetConfig(**{**TINY.__dict__, "epochs": 2})
+        calls = Counting(monkeypatch, "attention_target").calls
+        net.train(ds, cfg, seed=0)
+        assert calls["attention_target"] == len(ds.train_records) == 3
+
+    def test_traced_names_are_net_attributes(self):
+        # the benchmark's tracer looks these up on net with getattr
+        import importlib.util
+        import pathlib
+        path = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+                / "tracing.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for name in (*tracing.NET_FUNCTIONS, "attention_loss",
+                     "attention_target", "poses_from_matches",
+                     "average_poses"):
+            assert callable(getattr(net, name)), name
