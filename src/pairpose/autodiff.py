@@ -55,7 +55,8 @@ class Tensor:
         return float(self.values[0, 0])
 
     def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
+        """A graph-free tensor sharing this one's values (not a copy)."""
+        return Tensor(self.values)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

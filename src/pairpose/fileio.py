@@ -242,11 +242,11 @@ def read_correspondences(path) -> CorrespondenceSet:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Config:
-    """Every tunable, flat; defaults are the published hyperparameters
-    (N = 1000, gammas 100/50/50, phi 1:1:1:0.01, 50 epochs)."""
+class _DataConfig:
+    """The synthetic-dataset keys of ``Config``.  ``shape_spec()`` and
+    ``scene_spec()`` map them by hand: their flat names (``shape_kind``,
+    ``translation_low``, ...) differ from the ShapeSpec/SceneSpec fields."""
 
-    # data
     n: int = 1000
     shape_kind: str = "box_with_bump"
     shape_dims: tuple = (0.08, 0.1, 0.12, 0.02)
@@ -260,71 +260,25 @@ class Config:
     noise_sigma: float = 0.002
     occlusion_fraction: float = 0.0
     viewpoint: tuple = (0.0, 0.0, 0.0)
-    # ppf supervision
-    gamma1: float = 100.0
-    gamma2: float = 50.0
-    gamma3: float = 50.0
-    # losses
-    phi1: float = 1.0
-    phi2: float = 1.0
-    phi3: float = 1.0
-    phi4: float = 0.01
-    epsilon: float = 0.1
-    # architecture
-    psn_trunk: tuple = (64, 128, 256, 512, 1024)
-    psn_exterior_width: int = 24
-    psn_out_width: int = 512
-    feat_widths: tuple = (64, 128, 256)
-    feat_global_width: int = 256
-    scene_scalar_channel: str = "support"
-    decode_width: int = 256
-    head_hidden: tuple = (256, 128)
-    # mechanism flags
-    attention_source: str = "psn"
-    attention_for_match: bool = True
-    attention_for_direct: bool = True
-    ppf_supervision: bool = True
-    attention_input_gain: float = 0.0   # 0 = auto (scale rows by N)
-    # optimizer
-    epochs: int = 50
-    lr: float = 1e-3
-    lr_decay: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    # pose fusion / evaluation
-    num_pairs: int = 100
+
+
+@dataclass(frozen=True)
+class Config(NetConfig, _DataConfig):
+    """Every tunable, flat; defaults are the published hyperparameters
+    (N = 1000, gammas 100/50/50, phi 1:1:1:0.01, 50 epochs).
+
+    The keys are the data keys, then every ``NetConfig`` field, then the two
+    below: ``_DataConfig`` comes after ``NetConfig`` in the bases because
+    dataclasses collect fields from the last base first.  This order is the
+    order of the keys in a checkpoint's config and in ``write_config``.
+    Constructing a Config validates it (``NetConfig.__post_init__``)."""
+
     auc_max_threshold: float = 0.1
-    # seeds
     seed: int = 0
 
     def net_config(self) -> NetConfig:
-        return NetConfig(
-            psn_trunk=tuple(self.psn_trunk),
-            psn_exterior_width=self.psn_exterior_width,
-            psn_out_width=self.psn_out_width,
-            feat_widths=tuple(self.feat_widths),
-            feat_global_width=self.feat_global_width,
-            scene_scalar_channel=self.scene_scalar_channel,
-            decode_width=self.decode_width,
-            head_hidden=tuple(self.head_hidden),
-            attention_source=self.attention_source,
-            attention_for_match=self.attention_for_match,
-            attention_for_direct=self.attention_for_direct,
-            ppf_supervision=self.ppf_supervision,
-            attention_input_gain=(self.attention_input_gain
-                                  if self.attention_input_gain > 0 else None),
-            phi=(self.phi1, self.phi2, self.phi3, self.phi4),
-            epsilon=self.epsilon,
-            gammas=(self.gamma1, self.gamma2, self.gamma3),
-            epochs=self.epochs,
-            lr=self.lr,
-            lr_decay=self.lr_decay,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            adam_eps=self.adam_eps,
-            num_pairs=self.num_pairs,
-        )
+        return NetConfig(**{f.name: getattr(self, f.name)
+                            for f in fields(NetConfig)})
 
     def shape_spec(self) -> ShapeSpec:
         return ShapeSpec(self.shape_kind, tuple(self.shape_dims), self.n,
@@ -381,12 +335,15 @@ def parse_config(text: str, base: Config | None = None) -> Config:
             updates[key] = _parse_value(raw, known[key])
         except ValueError as exc:
             raise SchemaViolation(f"line {lineno}: bad value for {key}: {exc}")
-    return replace(cfg, **updates)
+    try:
+        return replace(cfg, **updates)
+    except ValueError as exc:
+        raise SchemaViolation(f"invalid configuration: {exc}")
 
 
 def load_config(path=None, overrides=()) -> Config:
     """Config from an optional file plus 'key=value' override strings; the
-    result is validated by constructing every derived spec."""
+    result is validated by constructing it and its data specs."""
     cfg = Config()
     if path is not None:
         with open(path) as fh:
@@ -394,7 +351,6 @@ def load_config(path=None, overrides=()) -> Config:
     if overrides:
         cfg = parse_config("\n".join(overrides), cfg)
     try:
-        cfg.net_config()
         cfg.shape_spec()
         cfg.scene_spec()
     except ValueError as exc:
@@ -431,14 +387,34 @@ def _config_to_obj(cfg: Config) -> dict:
     return obj
 
 
-def _config_from_obj(obj) -> Config:
-    known = {f.name: f for f in fields(Config)}
+def _has_default_type(v, default) -> bool:
+    """Whether a stored config value has the type of its key's default (an
+    int also passes for a float; a bool passes only for a bool)."""
+    if isinstance(default, tuple):
+        return isinstance(v, tuple) and all(_has_default_type(x, default[0])
+                                            for x in v)
+    if isinstance(default, float) and not isinstance(v, bool):
+        return isinstance(v, (int, float))
+    return type(v) is type(default)
+
+
+def _config_from_obj(obj, path) -> Config:
+    if not isinstance(obj, dict):
+        raise SchemaViolation(f"{path}: config must be a JSON object")
+    defaults = {f.name: f.default for f in fields(Config)}
     kwargs = {}
     for key, v in obj.items():
-        if key not in known:
-            raise SchemaViolation(f"unknown config key {key!r} in checkpoint")
-        kwargs[key] = tuple(v) if isinstance(v, list) else v
-    return Config(**kwargs)
+        if key not in defaults:
+            raise SchemaViolation(f"{path}: unknown config key {key!r}")
+        v = tuple(v) if isinstance(v, list) else v
+        if not _has_default_type(v, defaults[key]):
+            raise SchemaViolation(f"{path}: config key {key!r} has the wrong "
+                                  f"type: {v!r:.40}")
+        kwargs[key] = v
+    try:
+        return Config(**kwargs)
+    except ValueError as exc:
+        raise SchemaViolation(f"{path}: invalid configuration: {exc}")
 
 
 def write_checkpoint(path, params: dict, cfg: Config, n_points: int):
@@ -489,9 +465,9 @@ def read_checkpoint(path):
     """Load (params, config, n_points); tensor names and shapes must match
     what the stored config implies, and every value must be a number."""
     obj = json.loads(_read_text(path), object_hook=_tensor_values_hook)
-    if obj.get("format") != "checkpoint.v1":
+    if not isinstance(obj, dict) or obj.get("format") != "checkpoint.v1":
         raise SchemaViolation(f"{path}: expected checkpoint.v1")
-    cfg = _config_from_obj(obj.get("config", {}))
+    cfg = _config_from_obj(obj.get("config", {}), path)
     n_points = obj.get("n_points")
     if not isinstance(n_points, int) or n_points < 1:
         raise SchemaViolation(f"{path}: bad n_points")

@@ -28,8 +28,21 @@ from .synth import Dataset
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture, mechanism flags, loss weights, and optimizer settings."""
+    """Architecture, mechanism flags, loss and pair-feature weights, and
+    optimizer settings.  Each field is also the flat ``fileio.Config`` key of
+    the same name; the defaults are the published hyperparameters."""
 
+    # pair-feature weights of the PPF attention target (see ppf.PpfGammas)
+    gamma1: float = 100.0
+    gamma2: float = 50.0
+    gamma3: float = 50.0
+    # loss weights: phi1 L_d + phi2 L_s + phi3 L_m + phi4 L_attention, and
+    # the normal term's weight inside L_s and L_m
+    phi1: float = 1.0
+    phi2: float = 1.0
+    phi3: float = 1.0
+    phi4: float = 0.01
+    epsilon: float = 0.1
     # pseudo-siamese attention network
     psn_trunk: tuple = (64, 128, 256, 512, 1024)
     psn_exterior_width: int = 24
@@ -47,12 +60,9 @@ class NetConfig:
     attention_for_direct: bool = True
     ppf_supervision: bool = True
     # gain on the attention rows fed to the heads; row-stochastic entries are
-    # O(1/N), so None scales by the point count to condition them to O(1)
-    attention_input_gain: float | None = None
-    # loss weights
-    phi: tuple = (1.0, 1.0, 1.0, 0.01)
-    epsilon: float = 0.1
-    gammas: tuple = (100.0, 50.0, 50.0)
+    # O(1/N), so a gain <= 0 (the default 0) scales by the point count to
+    # condition them to O(1)
+    attention_input_gain: float = 0.0
     # optimizer
     epochs: int = 50
     lr: float = 1e-3
@@ -68,15 +78,25 @@ class NetConfig:
             raise ValueError("psn_trunk needs at least 2 layers")
         if self.psn_out_width <= 0 or self.psn_exterior_width <= 0:
             raise ValueError("psn widths must be positive")
+        if not self.feat_widths:
+            raise ValueError("feat_widths needs at least 1 layer")
         if self.attention_source not in ("psn", "branch"):
             raise ValueError(f"bad attention_source {self.attention_source!r}")
         if self.scene_scalar_channel not in ("none", "support"):
             raise ValueError(f"bad scene_scalar_channel "
                              f"{self.scene_scalar_channel!r}")
-        if len(self.phi) != 4 or any(p < 0 for p in self.phi):
+        if any(p < 0 for p in self.phi):
             raise ValueError("phi must be 4 non-negative weights")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+
+    @property
+    def phi(self) -> tuple:
+        return (self.phi1, self.phi2, self.phi3, self.phi4)
+
+    @property
+    def gammas(self) -> tuple:
+        return (self.gamma1, self.gamma2, self.gamma3)
 
     @property
     def psn_fused_width(self) -> int:
@@ -273,17 +293,6 @@ def _regressor_trunk(f, decoded, attn_rows, exterior, params, prefix,
     return h
 
 
-def correspondence_forward(f, attn_rows, exterior, params, prefix,
-                           cfg: NetConfig):
-    """One branch head: per-point matched position plus a renormalized
-    matched normal.  Returns (positions, normals, decoded) tensors."""
-    decoded = ad.relu(_dense(f, params, f"{prefix}.dec"))
-    h = _regressor_trunk(f, decoded, attn_rows, exterior, params, prefix, cfg)
-    pos = _dense(h, params, f"{prefix}.pos")
-    nrm = ad.row_l2_normalize(_dense(h, params, f"{prefix}.nrm"))
-    return pos, nrm, decoded
-
-
 def _head_attention(attn, cfg: NetConfig):
     """Condition attention rows for head input: remove the uniform baseline
     (1/N, which carries no information) and rescale the deviations to O(1).
@@ -293,7 +302,7 @@ def _head_attention(attn, cfg: NetConfig):
         return None
     n = attn.shape[1]
     gain = cfg.attention_input_gain
-    if gain is None:
+    if gain <= 0:
         gain = float(n)
     centered = ad.add(attn, ad.Tensor(np.full(attn.shape, -1.0 / n)))
     return ad.scalar_scale(centered, gain) if gain != 1.0 else centered
@@ -419,8 +428,7 @@ class PreparedScene(SceneInputs):
 
     gt: Pose
     targets: CorrespondenceTargets
-    pose_targets: np.ndarray      # == targets.model_pos values (ADD targets)
-    w_target: ad.Tensor | None
+    w_target: ad.Tensor | None    # PPF attention target, if supervised
 
 
 def scene_inputs(scene: OrientedPointCloud, model: OrientedPointCloud,
@@ -450,17 +458,16 @@ def correspondence_targets(scene: OrientedPointCloud, model: OrientedPointCloud,
 
 def prepare_scene(scene: OrientedPointCloud, model: OrientedPointCloud,
                   gt: Pose, cfg: NetConfig) -> PreparedScene:
-    """A training scene: its inputs, its correspondence targets, and the
-    pose and PPF attention targets."""
+    """A training scene: its inputs, its correspondence targets (the model
+    branch's targets are also the pose loss's), and the PPF attention target
+    when ``cfg.ppf_supervision`` asks for it."""
     inputs = scene_inputs(scene, model, cfg)
     targets = correspondence_targets(scene, model, gt, inputs.center)
     w = None
-    if cfg.uses_attention_map:
+    if cfg.ppf_supervision:
         gammas = PpfGammas(*cfg.gammas)
         w = ad.Tensor(attention_target(scene, model, gt, gammas).weights)
-    return PreparedScene(
-        **vars(inputs), gt=gt, targets=targets,
-        pose_targets=targets.model_pos.values, w_target=w)
+    return PreparedScene(**vars(inputs), gt=gt, targets=targets, w_target=w)
 
 
 def forward_all(prep: SceneInputs, params: dict, cfg: NetConfig,
@@ -513,7 +520,7 @@ def scene_losses(prep: PreparedScene, outputs: dict, cfg: NetConfig,
     l_s, l_m = branch_losses(outputs, prep.targets, cfg.epsilon)
     pose_fn = adds_loss if symmetric else add_loss
     l_d = pose_fn(outputs["quats"], outputs["trans"], model_points,
-                  prep.pose_targets)
+                  prep.targets.model_pos.values)
     l_att = None
     if cfg.ppf_supervision:
         l_att = attention_loss(outputs["attention"], prep.w_target)

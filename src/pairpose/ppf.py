@@ -24,8 +24,6 @@ COINCIDENT_TOL = 1e-12
 # leak into the perfect-match weight of noiselessly posed clouds.
 ALIGNED_DOT_TOL = 1e-14
 
-DEFAULT_GAMMAS = (100.0, 50.0, 50.0)
-
 
 def _acos(dot):
     c = np.clip(dot, -1.0, 1.0)

@@ -53,6 +53,13 @@ class TestForward:
         with pytest.raises(NonFiniteInput):
             ad.Tensor([[np.nan]])
 
+    def test_detach_shares_values_and_drops_the_graph(self):
+        x = ad.Tensor([[1.0, -2.0]], requires_grad=True)
+        y = ad.relu(x)
+        d = y.detach()
+        assert d.values is y.values
+        assert not d.requires_grad and d._parents == () and d._backward is None
+
 
 class TestBackward:
     def test_mse_against_zero(self):

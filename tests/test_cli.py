@@ -222,6 +222,43 @@ class TestTrainEvalCommands:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "SchemaViolation"
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda obj: [obj],
+        lambda obj: {**obj, "config": []},
+        lambda obj: {**obj, "config": {**obj["config"], "psn_trunk": 5}},
+        lambda obj: {**obj, "config": {**obj["config"],
+                                       "attention_source": "bogus"}},
+    ], ids=["top_level_array", "config_array", "scalar_trunk",
+            "bad_attention_source"])
+    def test_eval_rejects_malformed_checkpoint_config(
+            self, tmp_path, toy_config, capsys, corrupt):
+        from pairpose.net import init_params
+        cfg = fileio.load_config(toy_config)
+        ckpt = tmp_path / "checkpoint.json"
+        fileio.write_checkpoint(ckpt, init_params(cfg.net_config(), cfg.n,
+                                                  np.random.default_rng(0)),
+                                cfg, cfg.n)
+        ckpt.write_text(json.dumps(corrupt(json.loads(ckpt.read_text()))))
+        rc = main(["eval", "--dataset", str(tmp_path / "ds"),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "x"),
+                   "--config", toy_config])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])
+        assert error["error"] == "SchemaViolation"
+        assert str(ckpt) in error["message"]
+
+    def test_train_rejects_invalid_network_override(self, tmp_path,
+                                                    toy_config, capsys):
+        rc = main(["train", "--dataset", str(tmp_path / "ds"),
+                   "--out", str(tmp_path / "run"), "--config", toy_config,
+                   "--set", "attention_source=bogus"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "SchemaViolation"
+
 
 class TestGradcheckCommand:
     def test_report_and_exit_code(self, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from pairpose.errors import (
     SchemaViolation,
 )
 from pairpose.geom import Pose, random_pose
-from pairpose.net import init_params
+from pairpose.net import NetConfig, init_params
 from pairpose.solver import CorrespondenceSet, PoseSet
 from pairpose.synth import SceneSpec, ShapeSpec, make_dataset
 from tests.test_geom import make_cloud
@@ -193,6 +195,30 @@ class TestConfig:
         back = fileio.load_config(path)
         assert back == cfg
 
+    @pytest.mark.parametrize("override", ["attention_source=bogus",
+                                          "phi1=-1", "feat_widths="])
+    def test_invalid_network_value_rejected(self, override):
+        with pytest.raises(SchemaViolation, match="invalid configuration"):
+            fileio.load_config(overrides=[override])
+
+    def test_keys_and_their_order(self):
+        # the order of a checkpoint's config keys and of write_config's lines
+        assert [f.name for f in fields(fileio.Config)] == [
+            "n", "shape_kind", "shape_dims", "shape_seed", "scenes",
+            "train_fraction", "rotation", "max_angle", "translation_low",
+            "translation_high", "noise_sigma", "occlusion_fraction",
+            "viewpoint", "gamma1", "gamma2", "gamma3", "phi1", "phi2", "phi3",
+            "phi4", "epsilon", "psn_trunk", "psn_exterior_width",
+            "psn_out_width", "feat_widths", "feat_global_width",
+            "scene_scalar_channel", "decode_width", "head_hidden",
+            "attention_source", "attention_for_match", "attention_for_direct",
+            "ppf_supervision", "attention_input_gain", "epochs", "lr",
+            "lr_decay", "beta1", "beta2", "adam_eps", "num_pairs",
+            "auc_max_threshold", "seed"]
+
+    def test_default_net_config_is_default_netconfig(self):
+        assert fileio.Config().net_config() == NetConfig()
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -243,6 +269,32 @@ class TestCheckpoint:
         corrupt(obj["tensors"])
         path.write_text(json.dumps(obj))
         with pytest.raises(SchemaViolation):
+            fileio.read_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda obj: [obj],
+        lambda obj: {**obj, "config": []},
+        lambda obj: {**obj, "config": {**obj["config"], "psn_trunk": 5}},
+        lambda obj: {**obj, "config": {**obj["config"],
+                                       "attention_source": "bogus"}},
+        lambda obj: {**obj, "config": {**obj["config"], "num_pairs": "x"}},
+        lambda obj: {**obj, "config": {**obj["config"],
+                                       "attention_for_match": "yes"}},
+        lambda obj: {**obj, "config": {**obj["config"], "feat_widths": []}},
+    ], ids=["top_level_array", "config_array", "scalar_trunk",
+            "bad_attention_source", "string_num_pairs", "string_flag",
+            "no_feat_widths"])
+    def test_malformed_config_rejected(self, tmp_path, corrupt):
+        import json
+        cfg = fileio.parse_config("psn_trunk=4,6\npsn_exterior_width=2\n"
+                                  "psn_out_width=4\nfeat_widths=4,6\n"
+                                  "feat_global_width=4\ndecode_width=4\n"
+                                  "head_hidden=6\n")
+        params = init_params(cfg.net_config(), 5, np.random.default_rng(12))
+        path = tmp_path / "ckpt.json"
+        fileio.write_checkpoint(path, params, cfg, 5)
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        with pytest.raises(SchemaViolation, match="ckpt.json"):
             fileio.read_checkpoint(path)
 
     @pytest.mark.parametrize("element", [{}, "x", [1.0], None],

@@ -185,8 +185,9 @@ class TestHeads:
                                    out["quats"].values[perm], atol=1e-12)
 
     def test_one_hot_attention_regressor_overfits(self):
-        # with one-hot attention rows at the true matches, the regressor can
-        # learn a lookup from row index to canonical coordinates
+        # with one-hot attention rows at the true matches, the scene head can
+        # learn a lookup from row index to canonical coordinates; a gain of 1
+        # feeds it the centred one-hot rows without the N-fold scaling
         rng = np.random.default_rng(21)
         cloud = make_cloud(rng, 20, frame="model")
         diameter = model_diameter(cloud)
@@ -198,12 +199,13 @@ class TestHeads:
         cfg = net.NetConfig(
             psn_trunk=(8, 12), psn_exterior_width=4, psn_out_width=8,
             feat_widths=(8, 12), feat_global_width=8,
-            decode_width=12, head_hidden=(48,), epochs=1)
+            decode_width=12, head_hidden=(48,), epochs=1,
+            attention_input_gain=1.0)
         rng_p = np.random.default_rng(22)
         params = {}
         shapes = net.expected_param_shapes(cfg, 20)
         for name, shape in shapes.items():
-            if not name.startswith("corr_s"):
+            if not name.startswith(("corr_s", "corr_m")):
                 continue
             if name.endswith(".b"):
                 v = np.zeros(shape)
@@ -216,17 +218,15 @@ class TestHeads:
             # decay the rate: the L1 sign gradients make Adam orbit at ~lr
             lr = 1e-2 if step < 100 else (2e-3 if step < 150 else 5e-4)
             ad.zero_grad(params)
-            pos, nrm, _ = net.correspondence_forward(
-                feat, one_hot, ad.Tensor(np.zeros((1, cfg.decode_width))),
-                params, "corr_s", cfg)
+            (pos, nrm), _ = net.bidirectional_forward(feat, feat, one_hot,
+                                                      params, cfg)
             loss = net.correspondence_loss(pos, nrm, target_pos, target_nrm,
                                            cfg.epsilon)
             ad.backward(loss)
             ad.adam_step(params, {k: p.grad for k, p in params.items()
                                   if p.grad is not None}, state, lr=lr)
-        pos, _, _ = net.correspondence_forward(
-            feat, one_hot, ad.Tensor(np.zeros((1, cfg.decode_width))),
-            params, "corr_s", cfg)
+        (pos, _), _ = net.bidirectional_forward(feat, feat, one_hot, params,
+                                                cfg)
         err = np.mean(np.linalg.norm(pos.values - cloud.positions, axis=1))
         assert err < 0.01 * diameter
 
@@ -549,13 +549,17 @@ class TestSinglePassEvaluation:
         net.attention_match_rate(params, TINY, ds.model, poses)
         assert calls == {"forward_all": 2, "attention_target": 0}
 
-    def test_train_builds_one_ppf_target_per_training_scene(self,
-                                                            monkeypatch):
+    @pytest.mark.parametrize("ppf_supervision, targets", [(True, 3),
+                                                          (False, 0)])
+    def test_train_builds_a_ppf_target_per_scene_only_when_supervised(
+            self, monkeypatch, ppf_supervision, targets):
         ds = tiny_dataset(n_scenes=3, n=24, seed=47)
-        cfg = net.NetConfig(**{**TINY.__dict__, "epochs": 2})
+        assert len(ds.train_records) == 3
+        cfg = net.NetConfig(**{**TINY.__dict__, "epochs": 2,
+                               "ppf_supervision": ppf_supervision})
         calls = Counting(monkeypatch, "attention_target").calls
         net.train(ds, cfg, seed=0)
-        assert calls["attention_target"] == len(ds.train_records) == 3
+        assert calls["attention_target"] == targets
 
     def test_traced_names_are_net_attributes(self):
         # the benchmark's tracer looks these up on net with getattr
