@@ -5,7 +5,6 @@ synthetic data generation, pose solvers, and ADD/ADD-S evaluation."""
 __version__ = "0.1.0"
 
 from .geom import (
-    OrientedPoint,
     OrientedPointCloud,
     Pose,
     pose_apply,
@@ -15,7 +14,6 @@ from .geom import (
 )
 
 __all__ = [
-    "OrientedPoint",
     "OrientedPointCloud",
     "Pose",
     "pose_apply",

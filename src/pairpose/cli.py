@@ -70,8 +70,8 @@ def cmd_train(args) -> int:
     fileio.write_checkpoint(os.path.join(args.out, "checkpoint.json"),
                             params, cfg, len(dataset.model))
     fileio.write_loss_csv(os.path.join(args.out, "loss.csv"), log)
-    print(f"trained {cfg.epochs} epochs; final total loss "
-          f"{log[-1]['total']:.6f}; wrote {args.out}")
+    final = f"; final total loss {log[-1]['total']:.6f}" if log else ""
+    print(f"trained {cfg.epochs} epochs{final}; wrote {args.out}")
     return 0
 
 

@@ -33,10 +33,6 @@ class DegenerateConfiguration(PairposeError):
     """Correspondences are rank-deficient; least-squares pose is not unique."""
 
 
-class DegeneratePair(PairposeError):
-    """The second point of a pair lies on the reference normal axis."""
-
-
 class AllPairsDegenerate(PairposeError):
     """Every sampled correspondence pair was degenerate."""
 

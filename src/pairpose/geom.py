@@ -28,14 +28,6 @@ def _vec3(v) -> np.ndarray:
     return a
 
 
-def _unit3(v) -> np.ndarray:
-    a = _vec3(v)
-    n = np.linalg.norm(a)
-    if abs(n - 1.0) > UNIT_TOL:
-        raise ValueError(f"vector is not unit length (|v| = {n})")
-    return a
-
-
 def normalize(v) -> np.ndarray:
     """Return v / |v|; raises on zero vectors."""
     a = _vec3(v)
@@ -76,20 +68,21 @@ def quat_normalize(q) -> np.ndarray:
 
 
 def quat_multiply(a, b) -> np.ndarray:
-    """Hamilton product a * b (composition: rotate by b, then by a)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
+    """Hamilton product a * b (composition: rotate by b, then by a) of two
+    quaternions, or row by row of (K, 4) arrays: (4,) | (K, 4) -> same."""
+    aw, ax, ay, az = np.asarray(a, dtype=np.float64).T
+    bw, bx, by, bz = np.asarray(b, dtype=np.float64).T
+    return np.stack([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    ], axis=-1)
 
 
 def quat_conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    """Conjugate of a quaternion or of each row of a (K, 4) array."""
+    return np.asarray(q, dtype=np.float64) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -259,20 +252,8 @@ def pose_invert(p: Pose) -> Pose:
 
 
 # ---------------------------------------------------------------------------
-# oriented points and clouds
+# oriented point clouds
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class OrientedPoint:
-    """A position with a unit surface normal."""
-
-    position: np.ndarray
-    normal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _vec3(self.position))
-        object.__setattr__(self, "normal", _unit3(self.normal))
-
 
 @dataclass(frozen=True, eq=False)
 class OrientedPointCloud:
@@ -307,9 +288,6 @@ class OrientedPointCloud:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    def point(self, i: int) -> OrientedPoint:
-        return OrientedPoint(self.positions[i].copy(), self.normals[i].copy())
 
     def with_frame(self, frame: str) -> "OrientedPointCloud":
         return replace(self, frame=frame)

@@ -89,6 +89,14 @@ class NetConfig:
             raise ValueError("phi must be 4 non-negative weights")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+        if any(g < 0 for g in self.gammas):
+            raise ValueError("gammas must be non-negative")
+        if self.ppf_supervision and not any(self.gammas):
+            raise ValueError("ppf_supervision needs at least one positive gamma")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.num_pairs < 1:
+            raise ValueError("num_pairs must be >= 1")
 
     @property
     def phi(self) -> tuple:
@@ -597,7 +605,6 @@ class Prediction:
     pose_set: PoseSet
     corr_scene: CorrespondenceSet
     corr_model: CorrespondenceSet
-    attention: np.ndarray | None
     outputs: dict
     center: np.ndarray
 
@@ -633,12 +640,9 @@ def predict(params: dict, cfg: NetConfig, scene: OrientedPointCloud,
                   ("direct",) * quats.shape[0])
 
     pose_set = PoseSet.union(t_d, t_s, t_m)
-    attention = (outputs["attention"].values.copy()
-                 if outputs["attention"] is not None else None)
     return Prediction(final_pose=average_poses(pose_set), pose_set=pose_set,
                       corr_scene=corr_scene, corr_model=corr_model,
-                      attention=attention, outputs=outputs,
-                      center=inputs.center)
+                      outputs=outputs, center=inputs.center)
 
 
 def evaluate_dataset(params: dict, cfg: NetConfig, dataset: Dataset,

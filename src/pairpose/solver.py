@@ -1,11 +1,11 @@
 """Pose recovery from correspondences and pose-set fusion.
 
 Two solvers are provided: a weighted least-squares (Kabsch/SVD) alignment,
-and the local-frame pair alignment that recovers a rigid transform from a
-single oriented point-pair correspondence by moving both reference points
-into a canonical frame (origin, normal on the x-axis) and resolving the
-leftover in-plane angle.  The second is the production path; the first is
-its independent oracle.
+and the local-frame pair alignment that recovers a rigid transform from each
+oriented point-pair correspondence by moving both reference points into a
+canonical frame (origin, normal on the x-axis) and resolving the leftover
+in-plane angle, in closed form over all sampled pairs at once.  The second
+is the production path; the first is its independent oracle.
 """
 
 from __future__ import annotations
@@ -17,21 +17,24 @@ import numpy as np
 from .errors import (
     AllPairsDegenerate,
     DegenerateConfiguration,
-    DegeneratePair,
     EmptySet,
     NonFiniteInput,
 )
 from .geom import (
-    OrientedPoint,
+    UNIT_TOL,
     Pose,
-    pose_compose,
-    pose_invert,
+    quat_conjugate,
     quat_from_axis_angle,
     quat_from_matrix,
+    quat_multiply,
     quat_normalize,
+    quat_to_matrix,
 )
 
 IN_PLANE_RADIUS_TOL = 1e-9
+
+_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+_HALF_TURN_Z = quat_from_axis_angle([0.0, 0.0, 1.0], np.pi)
 
 DIRECTIONS = ("scene_to_model", "model_to_scene")
 
@@ -150,60 +153,58 @@ def kabsch_points(src: np.ndarray, tgt: np.ndarray,
     return Pose(quat_from_matrix(R), t)
 
 
-def kabsch_align(c: CorrespondenceSet, weights=None) -> Pose:
-    """Kabsch over a correspondence set, mapping its sources onto its targets."""
-    return kabsch_points(c.source_positions, c.target_positions, weights)
+def frame_quats(normals: np.ndarray) -> np.ndarray:
+    """(K, 4) rotations taking each unit normal of a (K, 3) array onto +x.
 
-
-def local_frame(p: OrientedPoint) -> Pose:
-    """Transform taking p.position to the origin and p.normal to +x.
-
-    The free in-plane rotation is fixed by rotating about normal x (+x) by
-    the angle between them; the antipodal normal (-x) rotates pi about +z.
+    Each rotates about n x (+x) by the angle between them; a normal already
+    on +x gets the identity and the antipodal normal (-x) a half turn about
+    +z.  The local frame of a reference point p maps x to R (x - p).
     """
-    x_axis = np.array([1.0, 0.0, 0.0])
-    n = p.normal
-    axis = np.cross(n, x_axis)
-    s = np.linalg.norm(axis)
-    c = float(n @ x_axis)
-    if s < 1e-12:
-        if c > 0.0:
-            q = np.array([1.0, 0.0, 0.0, 0.0])
-        else:
-            q = quat_from_axis_angle([0.0, 0.0, 1.0], np.pi)
-    else:
-        q = quat_from_axis_angle(axis / s, np.arctan2(s, c))
-    rot = Pose(q, np.zeros(3))
-    return Pose(q, -rot.rotation_matrix() @ p.position)
+    axis = np.stack([np.zeros(len(normals)), normals[:, 2], -normals[:, 1]],
+                    axis=1)
+    s = np.linalg.norm(axis, axis=1)
+    on_axis = s < 1e-12
+    half = 0.5 * np.arctan2(s, normals[:, 0])
+    q = np.concatenate([np.cos(half)[:, None], np.sin(half)[:, None] * axis
+                        / np.where(on_axis, 1.0, s)[:, None]], axis=1)
+    q[on_axis] = np.where(normals[on_axis, :1] > 0.0, _IDENTITY, _HALF_TURN_Z)
+    return q
 
 
-def pair_alignment_pose(model_pair, scene_pair) -> Pose:
-    """Pose (model -> scene) from one oriented point-pair correspondence.
+def align_pairs(model_pos, model_nrm, scene_pos, scene_nrm):
+    """Poses (model -> scene) of K oriented point-pair correspondences.
 
-    model_pair, scene_pair: (reference OrientedPoint, second OrientedPoint).
-    Both reference points are moved into the canonical frame, the second
-    points' in-plane angles about +x fix the remaining rotation, and the
-    result is composed back.  Raises DegeneratePair when a second point has
-    no in-plane component (the angle is undefined).
+    Each argument is (K, 2, 3): row k holds pair k's reference point and
+    second point.  Both reference points are moved into their local frame
+    (origin, normal on +x), the second points' in-plane angles about +x give
+    the remaining rotation q_x(alpha), and the pose is
+    R = conj(q_s) q_x(alpha) q_m with t = s_ref - R m_ref.
+
+    Returns (quats (K, 4), translations (K, 3), valid (K,)).  A pair is not
+    valid when a second point lies within IN_PLANE_RADIUS_TOL of its
+    reference normal axis, where alpha is undefined.
     """
-    m_r, m_i = model_pair
-    s_r, s_i = scene_pair
-    t_mg = local_frame(m_r)
-    t_sg = local_frame(s_r)
-    m2 = t_mg.apply_point(m_i.position)
-    s2 = t_sg.apply_point(s_i.position)
-    rm = np.hypot(m2[1], m2[2])
-    rs = np.hypot(s2[1], s2[2])
-    if rm < IN_PLANE_RADIUS_TOL or rs < IN_PLANE_RADIUS_TOL:
-        raise DegeneratePair("second point lies on the reference normal axis")
-    alpha = np.arctan2(s2[2], s2[1]) - np.arctan2(m2[2], m2[1])
-    r_g = Pose(quat_from_axis_angle([1.0, 0.0, 0.0], alpha), np.zeros(3))
-    return pose_compose(pose_invert(t_sg), pose_compose(r_g, t_mg))
+    q_m = frame_quats(model_nrm[:, 0])
+    q_s = frame_quats(scene_nrm[:, 0])
+    m2 = np.einsum("kij,kj->ki", quat_to_matrix(q_m),
+                   model_pos[:, 1] - model_pos[:, 0])
+    s2 = np.einsum("kij,kj->ki", quat_to_matrix(q_s),
+                   scene_pos[:, 1] - scene_pos[:, 0])
+    valid = ((np.hypot(m2[:, 1], m2[:, 2]) >= IN_PLANE_RADIUS_TOL)
+             & (np.hypot(s2[:, 1], s2[:, 2]) >= IN_PLANE_RADIUS_TOL))
+    half = 0.5 * (np.arctan2(s2[:, 2], s2[:, 1])
+                  - np.arctan2(m2[:, 2], m2[:, 1]))
+    zero = np.zeros_like(half)
+    q_alpha = np.stack([np.cos(half), np.sin(half), zero, zero], axis=1)
+    q = quat_multiply(quat_conjugate(q_s), quat_multiply(q_alpha, q_m))
+    t = scene_pos[:, 0] - np.einsum("kij,kj->ki", quat_to_matrix(q),
+                                    model_pos[:, 0])
+    return q, t, valid
 
 
 def poses_from_matches(c: CorrespondenceSet, num_pairs: int, seed: int) -> PoseSet:
-    """Sample point pairs from a correspondence set and solve each by local-
-    frame alignment; degenerate pairs are skipped."""
+    """Sample point pairs from a correspondence set and solve them all by
+    local-frame alignment; degenerate pairs are dropped."""
     if len(c) < 2:
         raise ValueError("need at least 2 correspondences to form a pair")
     if num_pairs < 1:
@@ -211,33 +212,29 @@ def poses_from_matches(c: CorrespondenceSet, num_pairs: int, seed: int) -> PoseS
     (mp, mn), (sp, sn) = c.model_scene_sides()
     tag = "scene-branch" if c.direction == "scene_to_model" else "model-branch"
     rng = np.random.default_rng(seed)
-    poses = []
-    for _ in range(num_pairs):
-        i, j = rng.choice(len(c), size=2, replace=False)
-        try:
-            pose = pair_alignment_pose(
-                (OrientedPoint(mp[i], mn[i]), OrientedPoint(mp[j], mn[j])),
-                (OrientedPoint(sp[i], sn[i]), OrientedPoint(sp[j], sn[j])))
-        except DegeneratePair:
-            continue
-        poses.append(pose)
-    if not poses:
+    pairs = np.array([rng.choice(len(c), size=2, replace=False)
+                      for _ in range(num_pairs)])
+    lengths = np.linalg.norm(np.stack([mn[pairs], sn[pairs]]), axis=-1)
+    if np.any(np.abs(lengths - 1.0) > UNIT_TOL):
+        raise ValueError("normals of sampled pairs must be unit length")
+    q, t, valid = align_pairs(mp[pairs], mn[pairs], sp[pairs], sn[pairs])
+    if not valid.any():
         raise AllPairsDegenerate(f"all {num_pairs} sampled pairs were degenerate")
-    return PoseSet(tuple(poses), (tag,) * len(poses))
+    poses = tuple(Pose(qk, tk) for qk, tk in zip(q[valid], t[valid]))
+    return PoseSet(poses, (tag,) * len(poses))
 
 
 def average_poses(s: PoseSet) -> Pose:
     """Fuse a pose set: mean translation + eigen (chordal L2) quaternion mean.
 
     The rotation mean maximizes sum (q . q_i)^2, i.e. the top eigenvector of
-    sum q_i q_i^T, which is invariant to per-quaternion sign flips.
+    Q^T Q = sum q_i q_i^T over the stacked quaternions Q, which is invariant
+    to per-quaternion sign flips.
     """
     if len(s) == 0:
         raise EmptySet("cannot average an empty pose set")
     t = np.mean([p.t for p in s.poses], axis=0)
-    acc = np.zeros((4, 4))
-    for p in s.poses:
-        acc += np.outer(p.q, p.q)
-    evals, evecs = np.linalg.eigh(acc)
+    quats = np.array([p.q for p in s.poses])
+    evals, evecs = np.linalg.eigh(quats.T @ quats)
     q = quat_normalize(evecs[:, np.argmax(evals)])
     return Pose(q, t)

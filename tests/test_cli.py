@@ -260,6 +260,36 @@ class TestTrainEvalCommands:
         assert json.loads(err[0])["error"] == "SchemaViolation"
 
 
+    def test_train_rejects_negative_epochs(self, tmp_path, toy_config,
+                                           capsys):
+        rc = main(["train", "--dataset", str(tmp_path / "ds"),
+                   "--out", str(tmp_path / "run"), "--config", toy_config,
+                   "--set", "epochs=-1"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "SchemaViolation"
+        assert not os.path.exists(tmp_path / "run")
+
+    def test_train_zero_epochs_writes_initial_weights(self, tmp_path,
+                                                      toy_config, capsys):
+        ds_dir = str(tmp_path / "ds")
+        main(["synth", "--out", ds_dir, "--config", toy_config, "--seed", "0"])
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--dataset", ds_dir, "--out", str(run),
+                     "--config", toy_config, "--set", "epochs=0"]) == 0
+        assert capsys.readouterr().out == f"trained 0 epochs; wrote {run}\n"
+        assert (run / "loss.csv").read_text() == fileio.LOSS_CSV_HEADER + "\n"
+        from pairpose.net import init_params
+        params, cfg, n_points = fileio.read_checkpoint(run / "checkpoint.json")
+        initial = init_params(cfg.net_config(), n_points,
+                              np.random.default_rng(cfg.seed))
+        assert params.keys() == initial.keys()
+        assert all(np.array_equal(params[k].values, initial[k].values)
+                   for k in params)
+
+
 class TestGradcheckCommand:
     def test_report_and_exit_code(self, tmp_path):
         out = str(tmp_path / "report.json")

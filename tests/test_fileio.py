@@ -195,11 +195,20 @@ class TestConfig:
         back = fileio.load_config(path)
         assert back == cfg
 
-    @pytest.mark.parametrize("override", ["attention_source=bogus",
-                                          "phi1=-1", "feat_widths="])
+    @pytest.mark.parametrize("override", [
+        "attention_source=bogus", "phi1=-1", "feat_widths=", "gamma1=-1",
+        pytest.param("gamma1=0\ngamma2=0\ngamma3=0", id="all_gammas_zero"),
+        pytest.param("ppf_supervision=false\ngamma2=-1",
+                     id="negative_gamma_unsupervised"),
+        "num_pairs=0", "epochs=-1"])
     def test_invalid_network_value_rejected(self, override):
         with pytest.raises(SchemaViolation, match="invalid configuration"):
             fileio.load_config(overrides=[override])
+
+    def test_zero_gammas_accepted_without_ppf_supervision(self):
+        cfg = fileio.load_config(overrides=[
+            "ppf_supervision=false", "gamma1=0", "gamma2=0", "gamma3=0"])
+        assert cfg.gammas == (0.0, 0.0, 0.0)
 
     def test_keys_and_their_order(self):
         # the order of a checkpoint's config keys and of write_config's lines

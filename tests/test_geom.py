@@ -9,7 +9,9 @@ from pairpose.geom import (
     pose_apply,
     pose_compose,
     pose_invert,
+    quat_conjugate,
     quat_from_axis_angle,
+    quat_multiply,
     quat_normalize,
     quat_to_matrix,
     random_pose,
@@ -132,6 +134,33 @@ class TestQuatToMatrix:
                 [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
             ])
             assert np.array_equal(quat_to_matrix(q), expected)
+
+
+class TestQuatMultiply:
+    def test_batched_equals_per_row(self):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((50, 4))
+        b = rng.standard_normal((50, 4))
+        batched = quat_multiply(a, b)
+        conj = quat_conjugate(a)
+        assert batched.shape == conj.shape == (50, 4)
+        for k in range(50):
+            assert np.array_equal(batched[k], quat_multiply(a[k], b[k]))
+            assert np.array_equal(conj[k], quat_conjugate(a[k]))
+
+    def test_single_quaternion_keeps_scalar_formula(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            aw, ax, ay, az = a = rng.standard_normal(4)
+            bw, bx, by, bz = b = rng.standard_normal(4)
+            expected = np.array([
+                aw * bw - ax * bx - ay * by - az * bz,
+                aw * bx + ax * bw + ay * bz - az * by,
+                aw * by - ax * bz + ay * bw + az * bx,
+                aw * bz + ax * by - ay * bx + az * bw,
+            ])
+            assert np.array_equal(quat_multiply(a, b), expected)
+            assert np.array_equal(quat_conjugate(a), [aw, -ax, -ay, -az])
 
 
 class TestGeodesicAngle:

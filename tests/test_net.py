@@ -367,7 +367,7 @@ class TestPredictEvaluate:
         pred = net.predict(params, cfg, ds.records[0].scene, ds.model, seed=0)
         tags = set(pred.pose_set.provenance)
         assert tags == {"direct", "scene-branch", "model-branch"}
-        assert pred.attention is not None
+        assert pred.outputs["attention"] is not None
         assert len(pred.corr_scene) == 32
 
     def test_evaluate_dataset_produces_records(self):
@@ -525,9 +525,10 @@ class TestSinglePassEvaluation:
             assert same_correspondences(pred.corr_scene, corr_s)
             assert same_correspondences(pred.corr_model, corr_m)
             if mechanism == "no_attention_map":
-                assert pred.attention is None and attention is None
+                assert pred.outputs["attention"] is None and attention is None
             else:
-                assert np.array_equal(pred.attention, attention)
+                assert np.array_equal(pred.outputs["attention"].values,
+                                      attention)
 
     def test_one_predict_and_one_forward_per_scene_no_ppf_target(
             self, monkeypatch):

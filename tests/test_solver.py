@@ -4,31 +4,81 @@ import pytest
 from pairpose.errors import (
     AllPairsDegenerate,
     DegenerateConfiguration,
-    DegeneratePair,
     EmptySet,
 )
 from pairpose.geom import (
-    OrientedPoint,
     Pose,
     pose_compose,
+    pose_invert,
+    quat_from_axis_angle,
     random_pose,
     rotation_geodesic_angle,
 )
 from pairpose.solver import (
+    IN_PLANE_RADIUS_TOL,
     CorrespondenceSet,
     PoseSet,
+    align_pairs,
     average_poses,
-    kabsch_align,
+    frame_quats,
     kabsch_points,
-    local_frame,
-    pair_alignment_pose,
     poses_from_matches,
 )
 from tests.test_geom import make_cloud
 
 
-def oriented_pair(pos, nrm, i, j):
-    return (OrientedPoint(pos[i], nrm[i]), OrientedPoint(pos[j], nrm[j]))
+# ---------------------------------------------------------------------------
+# the scalar per-pair solve that align_pairs replaced, kept as the oracle
+# ---------------------------------------------------------------------------
+
+def reference_local_frame(position, normal) -> Pose:
+    """Transform taking position to the origin and normal to +x."""
+    x_axis = np.array([1.0, 0.0, 0.0])
+    axis = np.cross(normal, x_axis)
+    s = np.linalg.norm(axis)
+    c = float(normal @ x_axis)
+    if s < 1e-12:
+        if c > 0.0:
+            q = np.array([1.0, 0.0, 0.0, 0.0])
+        else:
+            q = quat_from_axis_angle([0.0, 0.0, 1.0], np.pi)
+    else:
+        q = quat_from_axis_angle(axis / s, np.arctan2(s, c))
+    rot = Pose(q, np.zeros(3))
+    return Pose(q, -rot.rotation_matrix() @ position)
+
+
+def reference_pair_pose(model_pair, scene_pair):
+    """Pose (model -> scene) of one pair of (position, normal) points, by
+    composing local frames; None when the pair is degenerate."""
+    (m_rp, m_rn), (m_ip, _) = model_pair
+    (s_rp, s_rn), (s_ip, _) = scene_pair
+    t_mg = reference_local_frame(m_rp, m_rn)
+    t_sg = reference_local_frame(s_rp, s_rn)
+    m2 = t_mg.apply_point(m_ip)
+    s2 = t_sg.apply_point(s_ip)
+    rm = np.hypot(m2[1], m2[2])
+    rs = np.hypot(s2[1], s2[2])
+    if rm < IN_PLANE_RADIUS_TOL or rs < IN_PLANE_RADIUS_TOL:
+        return None
+    alpha = np.arctan2(s2[2], s2[1]) - np.arctan2(m2[2], m2[1])
+    r_g = Pose(quat_from_axis_angle([1.0, 0.0, 0.0], alpha), np.zeros(3))
+    return pose_compose(pose_invert(t_sg), pose_compose(r_g, t_mg))
+
+
+def pair_arrays(pos, nrm, pairs):
+    """(K, 2, 3) positions and normals of the index pairs (K, 2)."""
+    pairs = np.asarray(pairs)
+    return pos[pairs], nrm[pairs]
+
+
+def unit_rows(rng, n):
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def rotation_of(q):
+    return Pose(q, np.zeros(3)).rotation_matrix()
 
 
 class TestKabsch:
@@ -73,7 +123,7 @@ class TestKabsch:
         assert np.linalg.det(pose.rotation_matrix()) == pytest.approx(1.0, abs=1e-9)
         assert rotation_geodesic_angle(pose.q, g.q) < 1e-9
 
-    def test_set_wrapper_maps_source_to_target(self):
+    def test_maps_correspondence_sources_onto_targets(self):
         rng = np.random.default_rng(4)
         cloud = make_cloud(rng, 15)
         g = random_pose(rng, trans_scale=0.3)
@@ -81,94 +131,130 @@ class TestKabsch:
                               g.apply_points(cloud.positions),
                               g.apply_directions(cloud.normals),
                               "model_to_scene")
-        pose = kabsch_align(c)
+        pose = kabsch_points(c.source_positions, c.target_positions)
         assert rotation_geodesic_angle(pose.q, g.q) < 1e-9
 
 
-class TestLocalFrame:
-    def test_x_axis_normal_at_origin_is_identity(self):
-        t = local_frame(OrientedPoint([0, 0, 0], [1, 0, 0]))
-        assert rotation_geodesic_angle(t.q, [1, 0, 0, 0]) < 1e-12
-        assert np.linalg.norm(t.t) < 1e-12
+class TestFrameQuats:
+    def test_x_axis_normal_is_identity(self):
+        q = frame_quats(np.array([[1.0, 0.0, 0.0]]))
+        assert np.array_equal(q, [[1.0, 0.0, 0.0, 0.0]])
 
-    def test_contract_on_general_point(self):
-        t = local_frame(OrientedPoint([1, 2, 3], [0, 0, 1]))
-        assert np.linalg.norm(t.apply_point([1, 2, 3])) < 1e-12
-        rotated = t.rotation_matrix() @ np.array([0, 0, 1.0])
+    def test_contract_on_general_normal(self):
+        q = frame_quats(np.array([[0.0, 0.0, 1.0]]))
+        rotated = rotation_of(q[0]) @ np.array([0, 0, 1.0])
         np.testing.assert_allclose(rotated, [1, 0, 0], atol=1e-12)
 
     def test_antipodal_normal(self):
-        t = local_frame(OrientedPoint([0.5, -0.2, 0.1], [-1, 0, 0]))
-        rotated = t.rotation_matrix() @ np.array([-1.0, 0, 0])
+        q = frame_quats(np.array([[-1.0, 0.0, 0.0]]))
+        assert np.all(np.isfinite(q))
+        rotated = rotation_of(q[0]) @ np.array([-1.0, 0, 0])
         np.testing.assert_allclose(rotated, [1, 0, 0], atol=1e-12)
-        assert np.all(np.isfinite(t.q))
 
     def test_contract_on_random_normals(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            n = rng.standard_normal(3)
-            n /= np.linalg.norm(n)
-            p = rng.uniform(-1, 1, 3)
-            t = local_frame(OrientedPoint(p, n))
-            assert np.linalg.norm(t.apply_point(p)) < 1e-12
-            np.testing.assert_allclose(t.rotation_matrix() @ n, [1, 0, 0],
+        normals = unit_rows(rng, 200)
+        for q, n in zip(frame_quats(normals), normals):
+            np.testing.assert_allclose(rotation_of(q) @ n, [1, 0, 0],
                                        atol=1e-12)
 
+    def test_matches_scalar_reference(self):
+        rng = np.random.default_rng(16)
+        normals = np.vstack([unit_rows(rng, 50), [[1, 0, 0], [-1, 0, 0]],
+                             [[1, 1e-13, 0], [-1, 0, 1e-13]]])
+        for q, n in zip(frame_quats(normals), normals):
+            ref = reference_local_frame(np.zeros(3), n)
+            np.testing.assert_allclose(rotation_of(q), ref.rotation_matrix(),
+                                       rtol=0, atol=1e-12)
 
-class TestPairAlignment:
+
+class TestAlignPairs:
     def test_identical_pairs_identity(self):
         rng = np.random.default_rng(6)
         cloud = make_cloud(rng, 5)
-        pair = oriented_pair(cloud.positions, cloud.normals, 0, 1)
-        pose = pair_alignment_pose(pair, pair)
-        assert rotation_geodesic_angle(pose.q, [1, 0, 0, 0]) < 1e-9
-        assert np.linalg.norm(pose.t) < 1e-9
+        pos, nrm = pair_arrays(cloud.positions, cloud.normals, [[0, 1]])
+        q, t, valid = align_pairs(pos, nrm, pos, nrm)
+        assert valid.tolist() == [True]
+        assert rotation_geodesic_angle(q[0], [1, 0, 0, 0]) < 1e-9
+        assert np.linalg.norm(t[0]) < 1e-9
 
     def test_recovers_random_pose(self):
         rng = np.random.default_rng(7)
-        hits = 0
-        for _ in range(100):
-            cloud = make_cloud(rng, 6)
-            g = random_pose(rng, trans_scale=0.4)
-            moved_p = g.apply_points(cloud.positions)
-            moved_n = g.apply_directions(cloud.normals)
-            m_pair = oriented_pair(cloud.positions, cloud.normals, 0, 1)
-            s_pair = oriented_pair(moved_p, moved_n / np.linalg.norm(
-                moved_n, axis=1, keepdims=True), 0, 1)
-            try:
-                pose = pair_alignment_pose(m_pair, s_pair)
-            except DegeneratePair:
-                continue
-            hits += 1
-            assert rotation_geodesic_angle(pose.q, g.q) < 1e-9
-            assert np.linalg.norm(pose.t - g.t) < 1e-9
-        assert hits > 90
+        clouds = [make_cloud(rng, 6) for _ in range(100)]
+        poses = [random_pose(rng, trans_scale=0.4) for _ in clouds]
+        m_pos = np.array([c.positions[:2] for c in clouds])
+        m_nrm = np.array([c.normals[:2] for c in clouds])
+        s_pos = np.array([g.apply_points(p) for g, p in zip(poses, m_pos)])
+        s_nrm = np.array([g.apply_directions(n) for g, n in zip(poses, m_nrm)])
+        s_nrm /= np.linalg.norm(s_nrm, axis=2, keepdims=True)
+        q, t, valid = align_pairs(m_pos, m_nrm, s_pos, s_nrm)
+        assert valid.sum() > 90
+        for qk, tk, g in zip(q[valid], t[valid], np.array(poses)[valid]):
+            assert rotation_geodesic_angle(qk, g.q) < 1e-9
+            assert np.linalg.norm(tk - g.t) < 1e-9
 
-    def test_second_point_on_normal_axis_raises(self):
-        m_r = OrientedPoint([0, 0, 0], [1, 0, 0])
-        m_i = OrientedPoint([0.3, 0, 0], [0, 1, 0])  # along the reference normal
-        with pytest.raises(DegeneratePair):
-            pair_alignment_pose((m_r, m_i), (m_r, m_i))
+    def test_second_point_on_normal_axis_is_invalid(self):
+        # the second point lies along the reference normal
+        pos = np.array([[[0, 0, 0], [0.3, 0, 0]]], dtype=float)
+        nrm = np.array([[[1, 0, 0], [0, 1, 0]]], dtype=float)
+        q, t, valid = align_pairs(pos, nrm, pos, nrm)
+        assert valid.tolist() == [False]
+        assert np.all(np.isfinite(q)) and np.all(np.isfinite(t))
 
     def test_left_equivariance(self):
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            cloud = make_cloud(rng, 4)
-            base = random_pose(rng, trans_scale=0.3)
-            sp = base.apply_points(cloud.positions)
-            sn = base.apply_directions(cloud.normals)
-            sn /= np.linalg.norm(sn, axis=1, keepdims=True)
-            m_pair = oriented_pair(cloud.positions, cloud.normals, 0, 1)
-            s_pair = oriented_pair(sp, sn, 0, 1)
-            g = random_pose(rng, trans_scale=0.3)
-            gp = g.apply_points(sp)
-            gn = g.apply_directions(sn)
-            gn /= np.linalg.norm(gn, axis=1, keepdims=True)
-            gs_pair = oriented_pair(gp, gn, 0, 1)
-            lhs = pair_alignment_pose(m_pair, gs_pair)
-            rhs = pose_compose(g, pair_alignment_pose(m_pair, s_pair))
-            assert rotation_geodesic_angle(lhs.q, rhs.q) < 1e-9
-            assert np.linalg.norm(lhs.t - rhs.t) < 1e-9
+        clouds = [make_cloud(rng, 4) for _ in range(20)]
+        m_pos = np.array([c.positions[:2] for c in clouds])
+        m_nrm = np.array([c.normals[:2] for c in clouds])
+        bases = [random_pose(rng, trans_scale=0.3) for _ in clouds]
+        movers = [random_pose(rng, trans_scale=0.3) for _ in clouds]
+
+        def moved(poses, pos, nrm):
+            p = np.array([g.apply_points(x) for g, x in zip(poses, pos)])
+            n = np.array([g.apply_directions(x) for g, x in zip(poses, nrm)])
+            return p, n / np.linalg.norm(n, axis=2, keepdims=True)
+
+        s_pos, s_nrm = moved(bases, m_pos, m_nrm)
+        gs_pos, gs_nrm = moved(movers, s_pos, s_nrm)
+        lq, lt, lvalid = align_pairs(m_pos, m_nrm, gs_pos, gs_nrm)
+        rq, rt, rvalid = align_pairs(m_pos, m_nrm, s_pos, s_nrm)
+        assert lvalid.all() and rvalid.all()
+        for k, g in enumerate(movers):
+            rhs = pose_compose(g, Pose(rq[k], rt[k]))
+            assert rotation_geodesic_angle(lq[k], rhs.q) < 1e-9
+            assert np.linalg.norm(lt[k] - rhs.t) < 1e-9
+
+    def test_matches_scalar_reference(self):
+        # random pairs plus +-x reference normals, second points on the
+        # reference normal axis and coincident points
+        rng = np.random.default_rng(17)
+        n = 60
+        m_pos = rng.uniform(-0.1, 0.1, (n, 3))
+        m_nrm = unit_rows(rng, n)
+        m_nrm[:8] = [[1, 0, 0], [-1, 0, 0]] * 4
+        m_pos[8] = m_pos[0] + [0.2, 0, 0]
+        m_pos[9] = m_pos[1] - [0.1, 0, 0]
+        m_pos[10] = m_pos[2]
+        g = random_pose(rng, trans_scale=0.3)
+        s_pos = g.apply_points(m_pos) + rng.normal(0.0, 0.01, (n, 3))
+        s_nrm = unit_rows(rng, n)
+        s_nrm[:4] = [[1, 0, 0], [-1, 0, 0]] * 2
+        s_nrm[4:8] = g.apply_directions(m_nrm[4:8])
+        s_pos[11] = s_pos[4] + 0.05 * s_nrm[4]
+        pairs = [[0, 8], [1, 9], [2, 10], [4, 11], [8, 0], [3, 5], [6, 7]]
+        pairs += rng.integers(0, n, (200, 2)).tolist()
+        pairs = np.array([p for p in pairs if p[0] != p[1]])
+        q, t, valid = align_pairs(*pair_arrays(m_pos, m_nrm, pairs),
+                                  *pair_arrays(s_pos, s_nrm, pairs))
+        refs = [reference_pair_pose(((m_pos[i], m_nrm[i]), (m_pos[j], m_nrm[j])),
+                                    ((s_pos[i], s_nrm[i]), (s_pos[j], s_nrm[j])))
+                for i, j in pairs]
+        assert valid.tolist() == [r is not None for r in refs]
+        assert valid[:4].tolist() == [False] * 4 and valid[4:].sum() > 150
+        for qk, tk, ref in zip(q[valid], t[valid], np.array(refs)[valid]):
+            np.testing.assert_allclose(rotation_of(qk), ref.rotation_matrix(),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tk, ref.t, rtol=0, atol=1e-12)
 
 
 def noiseless_set(rng, n, direction="scene_to_model", trans_scale=0.3):
@@ -235,6 +321,45 @@ class TestPosesFromMatches:
             kb = kabsch_points(mp, sp)
             assert rotation_geodesic_angle(avg.q, kb.q) < 1e-6
             assert np.linalg.norm(avg.t - kb.t) < 1e-8
+
+
+    def test_matches_scalar_reference_loop(self):
+        # same seeded index draws as the per-pair loop it replaced, and the
+        # same poses in the same order
+        rng = np.random.default_rng(18)
+        for direction in ("scene_to_model", "model_to_scene"):
+            c, _ = noiseless_set(rng, 12, direction)
+            pos = c.source_positions.copy()
+            nrm = c.source_normals.copy()
+            nrm[0] = [1, 0, 0]
+            nrm[1] = [-1, 0, 0]
+            pos[2] = pos[0] + [0.2, 0, 0]
+            c = CorrespondenceSet(pos, nrm, c.target_positions,
+                                  c.target_normals, direction)
+            (mp, mn), (sp, sn) = c.model_scene_sides()
+            draws = np.random.default_rng(5)
+            refs = []
+            for _ in range(300):
+                i, j = draws.choice(len(c), size=2, replace=False)
+                ref = reference_pair_pose(((mp[i], mn[i]), (mp[j], mn[j])),
+                                          ((sp[i], sn[i]), (sp[j], sn[j])))
+                if ref is not None:
+                    refs.append(ref)
+            ps = poses_from_matches(c, num_pairs=300, seed=5)
+            assert 0 < len(ps) == len(refs) < 300
+            for pose, ref in zip(ps.poses, refs):
+                np.testing.assert_allclose(pose.rotation_matrix(),
+                                           ref.rotation_matrix(),
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(pose.t, ref.t, rtol=0, atol=1e-12)
+
+    def test_non_unit_normals_rejected(self):
+        rng = np.random.default_rng(19)
+        c, _ = noiseless_set(rng, 5)
+        with pytest.raises(ValueError, match="unit length"):
+            poses_from_matches(CorrespondenceSet(
+                c.source_positions, 2.0 * c.source_normals,
+                c.target_positions, c.target_normals, c.direction), 4, 0)
 
 
 class TestAveragePoses:
