@@ -269,7 +269,9 @@ def mean_pose_point_distance(quats: Tensor, trans: Tensor, points: np.ndarray,
     ``points`` (K, 3) and ``targets`` (K, 3) are constants; ``sel`` picks the
     model point compared against each target (identity when None, a detached
     nearest-neighbor index for the symmetric variant).  Gradients flow to the
-    quaternion and translation rows only; rows are assumed unit quaternions.
+    quaternion and translation rows only.  R(q) is ``geom.quat_to_matrix``,
+    the polynomial p + 2w (v x p) + 2 v x (v x p): a rotation for unit rows,
+    and the gradients are exact for any row.
     """
     pts = np.asarray(points, dtype=np.float64)
     tgt = np.asarray(targets, dtype=np.float64)
@@ -282,7 +284,7 @@ def mean_pose_point_distance(quats: Tensor, trans: Tensor, points: np.ndarray,
         raise ShapeMismatch(f"points {pts.shape} vs targets {tgt.shape}")
     n, k = quats.shape[0], pts.shape[0]
     if sel is None:
-        gathered = np.broadcast_to(pts, (n, k, 3))
+        gathered = pts                                        # (K, 3)
     else:
         sel = np.asarray(sel)
         if sel.shape != (n, k):
@@ -291,10 +293,10 @@ def mean_pose_point_distance(quats: Tensor, trans: Tensor, points: np.ndarray,
 
     w = quats.values[:, 0]
     v = quats.values[:, 1:]
-    c1 = np.cross(v[:, None, :], gathered)
-    c2 = np.cross(v[:, None, :], c1)
-    rotated = gathered + 2.0 * w[:, None, None] * c1 + 2.0 * c2
-    u = rotated + trans.values[:, None, :] - tgt[None, :, :]  # (N, K, 3)
+    rot = quat_to_matrix(quats.values)                        # (N, 3, 3)
+    u = gathered @ rot.transpose(0, 2, 1)                     # (N, K, 3)
+    u += trans.values[:, None, :]
+    u -= tgt
     dist = np.linalg.norm(u, axis=2)
 
     def back(g):
@@ -302,12 +304,17 @@ def mean_pose_point_distance(quats: Tensor, trans: Tensor, points: np.ndarray,
         safe = np.maximum(dist, eps)[:, :, None]
         s = np.where(dist[:, :, None] < eps, 0.0, u / safe) * scale  # dL/du
         _accumulate(trans, s.sum(axis=1))
-        gw = 2.0 * np.sum(c1 * s, axis=(1, 2))
-        vv = v[:, None, :]
-        gv = (2.0 * w[:, None, None] * np.cross(gathered, s)
-              + 2.0 * np.cross(c1, s)
-              + 2.0 * np.cross(gathered, np.cross(s, np.broadcast_to(vv, s.shape))))
-        _accumulate(quats, np.concatenate([gw[:, None], gv.sum(axis=1)], axis=1))
+        # dL/dR, then through R = I + 2w[v]x + 2(v v^T - |v|^2 I)
+        grad_rot = s.transpose(0, 2, 1) @ gathered            # (N, 3, 3)
+        axial = np.stack([grad_rot[:, 2, 1] - grad_rot[:, 1, 2],
+                          grad_rot[:, 0, 2] - grad_rot[:, 2, 0],
+                          grad_rot[:, 1, 0] - grad_rot[:, 0, 1]], axis=1)
+        sym = grad_rot + grad_rot.transpose(0, 2, 1)
+        trace = np.trace(grad_rot, axis1=1, axis2=2)
+        gw = 2.0 * np.sum(axial * v, axis=1)
+        gv = (2.0 * w[:, None] * axial + 2.0 * (sym @ v[:, :, None])[:, :, 0]
+              - 4.0 * trace[:, None] * v)
+        _accumulate(quats, np.concatenate([gw[:, None], gv], axis=1))
 
     return _result(dist.mean(), (quats, trans), back)
 

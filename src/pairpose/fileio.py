@@ -1,20 +1,27 @@
 """File formats and configuration.
 
 Everything is ASCII and written through ``repr`` for floats, so a write/read
-round trip is bit-exact and output files diff cleanly across runs.  Formats:
+round trip is bit-exact and output files diff cleanly across runs.  The one
+exception is a checkpoint's tensors: they are base64 of their float64 bytes,
+which is also bit-exact, half the size and about ten times faster to write
+and read than decimal text.  Formats:
 
 * PLY (ascii 1.0, double x y z nx ny nz) for oriented clouds;
 * pose.v1 JSON {"format", "q": [w,x,y,z], "t": [x,y,z]}, pose sets as JSON
   arrays of the same plus "provenance";
 * matrix.v1: "rows cols" header line, then one whitespace row per line;
-* checkpoint.v1 JSON: flat config + named tensors, shapes validated on load;
+* checkpoint.v2 JSON: flat config + named tensors, each tensor's "data" the
+  base64 of its C-order little-endian float64 bytes; shapes validated on load
+  (checkpoint.v1, decimal values, is rejected);
 * corr.v1 JSON: correspondence sets (source/target positions + normals);
 * dataset.v1: a directory of scene PLYs plus a manifest.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -418,12 +425,13 @@ def _config_from_obj(obj, path) -> Config:
 
 
 def write_checkpoint(path, params: dict, cfg: Config, n_points: int):
-    """Write checkpoint.v1, byte for byte what ``json.dump`` of the whole
-    object would write.  The header and then each tensor entry go through
-    ``json.dumps`` (the C encoder; ``json.dump`` runs the pure-Python one),
-    one tensor at a time so only one tensor's values list exists at once."""
+    """Write checkpoint.v2, byte for byte what ``json.dump`` of the whole
+    object would write.  Each tensor's ``data`` is the base64 of its C-order
+    little-endian float64 bytes.  The header and then each tensor entry go
+    through ``json.dumps`` (the C encoder; ``json.dump`` runs the pure-Python
+    one), one tensor at a time so only one tensor's encoding exists at once."""
     header = json.dumps({
-        "format": "checkpoint.v1",
+        "format": "checkpoint.v2",
         "n_points": n_points,
         "config": _config_to_obj(cfg),
     })
@@ -432,24 +440,38 @@ def write_checkpoint(path, params: dict, cfg: Config, n_points: int):
         for i, (name, p) in enumerate(sorted(params.items())):
             if i:
                 fh.write(", ")
+            data = base64.b64encode(p.values.astype("<f8", copy=False).tobytes())
             fh.write(json.dumps({"name": name, "shape": list(p.values.shape),
-                                 "values": p.values.reshape(-1).tolist()}))
+                                 "data": data.decode("ascii")}))
         fh.write("]}\n")
 
 
-def _tensor_values_hook(obj):
-    """``object_hook`` for checkpoint JSON: a ``values`` list that holds only
-    numbers becomes a 1-D float64 array as soon as its object is parsed, so
-    the float objects of the whole file never exist at once.  Any other
-    ``values`` stays a list, for ``read_checkpoint`` to reject."""
-    values = obj.get("values")
-    if isinstance(values, list):
-        try:
-            array = np.array(values)
-        except ValueError:      # nested lists of differing lengths
-            return obj
-        if array.ndim == 1 and array.dtype.kind in "fi":
-            obj["values"] = array.astype(np.float64, copy=False)
+def _decode_tensor(obj, path):
+    """``object_hook`` for checkpoint JSON: an object with ``data`` is a
+    tensor entry, and its base64 becomes a writable float64 array of the
+    entry's shape as soon as the object is parsed, so the encoded strings of
+    the whole file never exist at once."""
+    if "data" not in obj:
+        return obj
+    name, shape, data = obj.get("name"), obj.get("shape"), obj["data"]
+    where = f"{path}: tensor {name!r:.60}"
+    if not (isinstance(shape, list)
+            and all(type(d) is int and d >= 0 for d in shape)):
+        raise SchemaViolation(f"{where} has a bad shape {shape!r:.60}")
+    if not isinstance(data, str):
+        raise SchemaViolation(f"{where} data must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:   # binascii.Error, or a non-ASCII character
+        raise SchemaViolation(f"{where} data is not base64: {exc}")
+    nbytes = 8 * math.prod(shape)
+    if len(raw) != nbytes:
+        raise SchemaViolation(f"{where} has {len(raw)} bytes of data, shape "
+                              f"{shape} needs {nbytes}")
+    values = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise SchemaViolation(f"{where} has a non-finite value")
+    obj["data"] = values
     return obj
 
 
@@ -462,38 +484,44 @@ def _read_text(path) -> str:
 
 
 def read_checkpoint(path):
-    """Load (params, config, n_points); tensor names and shapes must match
-    what the stored config implies, and every value must be a number."""
-    obj = json.loads(_read_text(path), object_hook=_tensor_values_hook)
-    if not isinstance(obj, dict) or obj.get("format") != "checkpoint.v1":
-        raise SchemaViolation(f"{path}: expected checkpoint.v1")
+    """Load (params, config, n_points) from checkpoint.v2; tensor names and
+    shapes must match what the stored config implies."""
+    try:
+        obj = json.loads(_read_text(path),
+                         object_hook=lambda o: _decode_tensor(o, path))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaViolation(f"{path}: not a JSON file: {exc}")
+    if isinstance(obj, dict) and obj.get("format") == "checkpoint.v1":
+        raise SchemaViolation(f"{path}: checkpoint.v1 is no longer read; "
+                              f"retrain the model to write checkpoint.v2")
+    if not isinstance(obj, dict) or obj.get("format") != "checkpoint.v2":
+        raise SchemaViolation(f"{path}: expected checkpoint.v2")
     cfg = _config_from_obj(obj.get("config", {}), path)
     n_points = obj.get("n_points")
-    if not isinstance(n_points, int) or n_points < 1:
+    if type(n_points) is not int or n_points < 1:
         raise SchemaViolation(f"{path}: bad n_points")
     expected = expected_param_shapes(cfg.net_config(), n_points)
+    tensors = obj.get("tensors")
+    if not isinstance(tensors, list):
+        raise SchemaViolation(f"{path}: tensors must be a JSON array")
     params = {}
-    for i, entry in enumerate(obj.get("tensors", [])):
+    for i, entry in enumerate(tensors):
         if not isinstance(entry, dict):
             raise SchemaViolation(f"{path}: tensor entry {i} is not an object")
         name = entry.get("name")
-        if name not in expected:
-            raise SchemaViolation(f"{path}: unexpected tensor {name!r}")
+        if not isinstance(name, str) or name not in expected:
+            raise SchemaViolation(f"{path}: unexpected tensor {name!r:.60}")
+        if name in params:
+            raise SchemaViolation(f"{path}: duplicate tensor {name!r}")
         shape = entry.get("shape")
         if not isinstance(shape, list) or tuple(shape) != expected[name]:
             raise SchemaViolation(
-                f"{path}: tensor {name!r} has shape {shape}, config implies "
-                f"{expected[name]}")
-        size = int(np.prod(expected[name]))
-        values = entry.get("values")
-        if isinstance(values, list):
-            raise SchemaViolation(
-                f"{path}: tensor {name!r} values must all be numbers")
-        if not isinstance(values, np.ndarray) or values.size != size:
-            raise SchemaViolation(
-                f"{path}: tensor {name!r} needs a list of {size} values")
-        params[name] = ad.Tensor(values.reshape(expected[name]),
-                                 requires_grad=True)
+                f"{path}: tensor {name!r} has shape {shape!r:.60}, config "
+                f"implies {expected[name]}")
+        values = entry.get("data")
+        if not isinstance(values, np.ndarray):
+            raise SchemaViolation(f"{path}: tensor {name!r} has no data")
+        params[name] = ad.Tensor(values, requires_grad=True)
     missing = set(expected) - set(params)
     if missing:
         raise SchemaViolation(f"{path}: missing tensors {sorted(missing)}")

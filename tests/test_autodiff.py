@@ -270,3 +270,67 @@ class TestNearestPointSelection:
                 sel=reference_selection(quats, trans, points, targets))
             assert abs(adds_loss(q, t, points, targets).item()
                        - expected.item()) <= 1e-15
+
+
+def reference_pose_distance(quats, trans, points, targets, sel=None, eps=1e-12):
+    """The cross-product form of ``mean_pose_point_distance``: (loss, dL/dq,
+    dL/dt) from p + 2w (v x p) + 2 v x (v x p) and its hand-derived VJP."""
+    n, k = quats.shape[0], points.shape[0]
+    gathered = np.broadcast_to(points, (n, k, 3)) if sel is None else points[sel]
+    w, v = quats[:, 0], quats[:, 1:]
+    c1 = np.cross(v[:, None, :], gathered)
+    c2 = np.cross(v[:, None, :], c1)
+    u = (gathered + 2.0 * w[:, None, None] * c1 + 2.0 * c2
+         + trans[:, None, :] - targets[None, :, :])
+    dist = np.linalg.norm(u, axis=2)
+    safe = np.maximum(dist, eps)[:, :, None]
+    s = np.where(dist[:, :, None] < eps, 0.0, u / safe) / (n * k)
+    gw = 2.0 * np.sum(c1 * s, axis=(1, 2))
+    gv = (2.0 * w[:, None, None] * np.cross(gathered, s)
+          + 2.0 * np.cross(c1, s)
+          + 2.0 * np.cross(gathered, np.cross(s, np.broadcast_to(v[:, None, :],
+                                                                 s.shape))))
+    grad_q = np.concatenate([gw[:, None], gv.sum(axis=1)], axis=1)
+    return dist.mean(), grad_q, s.sum(axis=1)
+
+
+class TestPoseDistanceKernel:
+    """The rotation-matrix kernel against the cross-product oracle."""
+
+    @staticmethod
+    def compare(quats, trans, points, targets, sel=None):
+        q = ad.Tensor(quats, requires_grad=True)
+        t = ad.Tensor(trans, requires_grad=True)
+        loss = ad.mean_pose_point_distance(q, t, points, targets, sel=sel)
+        ad.backward(loss)
+        ref_loss, ref_gq, ref_gt = reference_pose_distance(
+            quats, trans, points, targets, sel=sel)
+        assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
+        for got, ref in ((q.grad, ref_gq), (t.grad, ref_gt)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("selected", [False, True], ids=["identity", "sel"])
+    def test_matches_cross_product_oracle(self, selected):
+        rng = np.random.default_rng(41 + selected)
+        for _ in range(20):
+            n, k = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+            quats, trans, points, targets = selection_instance(rng, n, k)
+            sel = rng.integers(0, k, size=(n, k)) if selected else None
+            self.compare(quats, trans, points, targets, sel)
+
+    def test_rows_that_are_not_unit_quaternions(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            n, k = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+            quats, trans, points, targets = selection_instance(rng, n, k)
+            quats *= rng.uniform(0.3, 3.0, size=(n, 1))
+            self.compare(quats, trans, points, targets,
+                         rng.integers(0, k, size=(n, k)))
+
+    def test_point_at_zero_distance(self):
+        rng = np.random.default_rng(44)
+        quats, trans, points, targets = selection_instance(rng, 3, 8)
+        # candidate 0 puts model point 2 exactly on its target
+        quats[0], trans[0] = (1.0, 0.0, 0.0, 0.0), 0.0
+        targets[2] = points[2]
+        self.compare(quats, trans, points, targets)

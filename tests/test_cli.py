@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -193,7 +194,7 @@ class TestTrainEvalCommands:
                                                   np.random.default_rng(0)),
                                 cfg, cfg.n)
         obj = json.loads(ckpt.read_text())
-        del obj["tensors"][0]["values"]
+        del obj["tensors"][0]["data"]
         ckpt.write_text(json.dumps(obj))
         rc = main(["eval", "--dataset", str(tmp_path / "ds"),
                    "--checkpoint", str(ckpt), "--out", str(tmp_path / "x"),
@@ -212,7 +213,10 @@ class TestTrainEvalCommands:
                                                   np.random.default_rng(0)),
                                 cfg, cfg.n)
         obj = json.loads(ckpt.read_text())
-        obj["tensors"][0]["values"][0] = {}
+        entry = obj["tensors"][0]
+        values = np.frombuffer(base64.b64decode(entry["data"]), "<f8").copy()
+        values[0] = np.nan
+        entry["data"] = base64.b64encode(values.tobytes()).decode()
         ckpt.write_text(json.dumps(obj))
         rc = main(["eval", "--dataset", str(tmp_path / "ds"),
                    "--checkpoint", str(ckpt), "--out", str(tmp_path / "x"),
@@ -228,8 +232,9 @@ class TestTrainEvalCommands:
         lambda obj: {**obj, "config": {**obj["config"], "psn_trunk": 5}},
         lambda obj: {**obj, "config": {**obj["config"],
                                        "attention_source": "bogus"}},
+        lambda obj: {**obj, "tensors": 5},
     ], ids=["top_level_array", "config_array", "scalar_trunk",
-            "bad_attention_source"])
+            "bad_attention_source", "tensors_not_a_list"])
     def test_eval_rejects_malformed_checkpoint_config(
             self, tmp_path, toy_config, capsys, corrupt):
         from pairpose.net import init_params

@@ -1,13 +1,18 @@
+import base64
+import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pairpose.fileio as fileio
 from pairpose.errors import (
     MalformedHeader,
     MissingNormals,
     NonFiniteInput,
+    PairposeError,
     SchemaViolation,
 )
 from pairpose.geom import Pose, random_pose
@@ -229,6 +234,24 @@ class TestConfig:
         assert fileio.Config().net_config() == NetConfig()
 
 
+TINY_NET = ("psn_trunk=4,6\npsn_exterior_width=2\npsn_out_width=4\n"
+            "feat_widths=4,6\nfeat_global_width=4\ndecode_width=4\n"
+            "head_hidden=6\n")
+
+
+def b64_float64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def tiny_checkpoint(tmp_path, seed, n=5):
+    """A valid checkpoint.v2 file of the tiny network and its parsed JSON."""
+    cfg = fileio.parse_config(TINY_NET)
+    params = init_params(cfg.net_config(), n, np.random.default_rng(seed))
+    path = tmp_path / "ckpt.json"
+    fileio.write_checkpoint(path, params, cfg, n)
+    return path, json.loads(path.read_text())
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = fileio.parse_config("psn_trunk=8,12\npsn_exterior_width=4\n"
@@ -243,41 +266,37 @@ class TestCheckpoint:
         assert set(back) == set(params)
         for name in params:
             assert np.array_equal(back[name].values, params[name].values)
+            # Adam updates parameters in place
+            assert back[name].values.flags.writeable
+            assert back[name].values.flags.owndata
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        import json
-        cfg = fileio.parse_config("psn_trunk=8,12\npsn_exterior_width=4\n"
-                                  "psn_out_width=8\nfeat_widths=8,12\n"
-                                  "feat_global_width=8\ndecode_width=8\n"
-                                  "head_hidden=12\nn=10\n")
-        params = init_params(cfg.net_config(), 10, np.random.default_rng(8))
-        path = tmp_path / "ckpt.json"
-        fileio.write_checkpoint(path, params, cfg, 10)
-        obj = json.loads(path.read_text())
+        path, obj = tiny_checkpoint(tmp_path, 8)
         obj["tensors"][0]["shape"] = [1, 1]
-        obj["tensors"][0]["values"] = [0.0]
+        obj["tensors"][0]["data"] = b64_float64([0.0])
         path.write_text(json.dumps(obj))
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(SchemaViolation, match=repr(obj["tensors"][0]["name"])):
             fileio.read_checkpoint(path)
 
     @pytest.mark.parametrize("corrupt", [
-        lambda tensors: tensors[0].pop("values"),
-        lambda tensors: tensors[0]["values"].pop(),
+        lambda tensors: tensors[0].pop("data"),
+        lambda tensors: tensors[0].update(data=b64_float64(
+            np.zeros(np.prod(tensors[0]["shape"]) - 1))),
+        lambda tensors: tensors[0].update(data=b64_float64(
+            np.zeros(np.prod(tensors[0]["shape"]) + 1))),
+        lambda tensors: tensors[0].update(data=tensors[0]["data"][:-4]),
+        lambda tensors: tensors[0].update(shape="4x1"),
         lambda tensors: tensors.__setitem__(0, ["not", "an", "object"]),
-    ], ids=["missing_values", "short_values", "non_dict_entry"])
+    ], ids=["missing_values", "short_values", "long_values", "cut_base64",
+            "string_shape", "non_dict_entry"])
     def test_malformed_tensor_entry_rejected(self, tmp_path, corrupt):
-        import json
-        cfg = fileio.parse_config("psn_trunk=4,6\npsn_exterior_width=2\n"
-                                  "psn_out_width=4\nfeat_widths=4,6\n"
-                                  "feat_global_width=4\ndecode_width=4\n"
-                                  "head_hidden=6\n")
-        params = init_params(cfg.net_config(), 5, np.random.default_rng(10))
-        path = tmp_path / "ckpt.json"
-        fileio.write_checkpoint(path, params, cfg, 5)
-        obj = json.loads(path.read_text())
+        path, obj = tiny_checkpoint(tmp_path, 10)
+        name = obj["tensors"][0]["name"]
         corrupt(obj["tensors"])
         path.write_text(json.dumps(obj))
-        with pytest.raises(SchemaViolation):
+        entry = obj["tensors"][0]
+        pattern = repr(name) if isinstance(entry, dict) else "tensor entry 0"
+        with pytest.raises(SchemaViolation, match=pattern):
             fileio.read_checkpoint(path)
 
     @pytest.mark.parametrize("corrupt", [
@@ -294,55 +313,80 @@ class TestCheckpoint:
             "bad_attention_source", "string_num_pairs", "string_flag",
             "no_feat_widths"])
     def test_malformed_config_rejected(self, tmp_path, corrupt):
-        import json
-        cfg = fileio.parse_config("psn_trunk=4,6\npsn_exterior_width=2\n"
-                                  "psn_out_width=4\nfeat_widths=4,6\n"
-                                  "feat_global_width=4\ndecode_width=4\n"
-                                  "head_hidden=6\n")
-        params = init_params(cfg.net_config(), 5, np.random.default_rng(12))
-        path = tmp_path / "ckpt.json"
-        fileio.write_checkpoint(path, params, cfg, 5)
-        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        path, obj = tiny_checkpoint(tmp_path, 12)
+        path.write_text(json.dumps(corrupt(obj)))
         with pytest.raises(SchemaViolation, match="ckpt.json"):
             fileio.read_checkpoint(path)
 
-    @pytest.mark.parametrize("element", [{}, "x", [1.0], None],
-                             ids=["object", "string", "list", "null"])
+    @pytest.mark.parametrize("element", [
+        {}, "not base64!", [1.0], None, float("nan"), float("inf"),
+        -float("inf"),
+    ], ids=["object", "string", "list", "null", "nan", "inf", "-inf"])
     def test_non_number_value_rejected(self, tmp_path, element):
-        import json
-        cfg = fileio.parse_config("psn_trunk=4,6\npsn_exterior_width=2\n"
-                                  "psn_out_width=4\nfeat_widths=4,6\n"
-                                  "feat_global_width=4\ndecode_width=4\n"
-                                  "head_hidden=6\n")
-        params = init_params(cfg.net_config(), 5, np.random.default_rng(11))
-        path = tmp_path / "ckpt.json"
-        fileio.write_checkpoint(path, params, cfg, 5)
-        obj = json.loads(path.read_text())
-        obj["tensors"][1]["values"][0] = element
+        path, obj = tiny_checkpoint(tmp_path, 11)
+        entry = obj["tensors"][1]
+        if isinstance(element, float):
+            values = np.frombuffer(base64.b64decode(entry["data"]), "<f8").copy()
+            values[0] = element
+            entry["data"] = b64_float64(values)
+        else:
+            entry["data"] = element
         path.write_text(json.dumps(obj))
-        name = obj["tensors"][1]["name"]
-        with pytest.raises(SchemaViolation, match=repr(name)):
+        with pytest.raises(SchemaViolation, match=repr(entry["name"])):
+            fileio.read_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda obj: obj.update(tensors=5),
+        lambda obj: obj.update(tensors=None),
+        lambda obj: obj.pop("tensors"),
+        lambda obj: obj["tensors"].append(dict(obj["tensors"][-1])),
+        lambda obj: obj.update(n_points=True),
+        lambda obj: obj["tensors"][0].update(name=["corr_m.dec.b"]),
+    ], ids=["tensors_int", "tensors_null", "no_tensors", "duplicate_tensor",
+            "bool_n_points", "list_name"])
+    def test_malformed_tensor_list_rejected(self, tmp_path, corrupt):
+        path, obj = tiny_checkpoint(tmp_path, 13)
+        corrupt(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaViolation, match="ckpt.json"):
+            fileio.read_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [b"", b'{"format": "checkpoint.v2"',
+                                         b'{"format": "\xff\xfe"}',
+                                         b"[" * 100_000],
+                             ids=["empty", "truncated", "not_utf8",
+                                  "deeply_nested"])
+    def test_unreadable_json_rejected(self, tmp_path, content):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaViolation, match="ckpt.json"):
+            fileio.read_checkpoint(path)
+
+    def test_v1_checkpoint_rejected(self, tmp_path):
+        path, obj = tiny_checkpoint(tmp_path, 14)
+        obj["format"] = "checkpoint.v1"
+        for entry in obj["tensors"]:
+            data = entry.pop("data")
+            entry["values"] = np.frombuffer(base64.b64decode(data), "<f8").tolist()
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaViolation, match="checkpoint.v1"):
             fileio.read_checkpoint(path)
 
     @pytest.mark.parametrize("n", [3, 17])
     def test_bytes_equal_json_dump_of_whole_object(self, tmp_path, n):
-        import json
-        cfg = fileio.parse_config("psn_trunk=4,6\npsn_exterior_width=2\n"
-                                  "psn_out_width=4\nfeat_widths=4,6\n"
-                                  "feat_global_width=4\ndecode_width=4\n"
-                                  "head_hidden=6\n")
+        cfg = fileio.parse_config(TINY_NET)
         params = init_params(cfg.net_config(), n, np.random.default_rng(n))
         path = tmp_path / "ckpt.json"
         fileio.write_checkpoint(path, params, cfg, n)
         # the writer's original form: one json.dump of the whole object
         obj = {
-            "format": "checkpoint.v1",
+            "format": "checkpoint.v2",
             "n_points": n,
             "config": {f: list(v) if isinstance(v, tuple) else v
                        for f, v in vars(cfg).items()},
             "tensors": [
                 {"name": name, "shape": list(p.values.shape),
-                 "values": p.values.reshape(-1).tolist()}
+                 "data": b64_float64(p.values.reshape(-1))}
                 for name, p in sorted(params.items())
             ],
         }
@@ -354,10 +398,7 @@ class TestCheckpoint:
 
     def test_random_round_trips(self, tmp_path):
         rng = np.random.default_rng(9)
-        cfg = fileio.parse_config("psn_trunk=4,6\npsn_exterior_width=2\n"
-                                  "psn_out_width=4\nfeat_widths=4,6\n"
-                                  "feat_global_width=4\ndecode_width=4\n"
-                                  "head_hidden=6\n")
+        cfg = fileio.parse_config(TINY_NET)
         for i in range(100):
             n = int(rng.integers(2, 12))
             params = init_params(cfg.net_config(), n, rng)
@@ -366,6 +407,65 @@ class TestCheckpoint:
             back, _, _ = fileio.read_checkpoint(path)
             for name in params:
                 assert np.array_equal(back[name].values, params[name].values)
+
+
+def _json_fields(obj):
+    """(container, key) of the fields of a parsed checkpoint, in four
+    groups: the top-level keys, the config keys, the tensor list items and
+    the tensor entries' keys."""
+    tensors = obj["tensors"]
+    return [[(obj, k) for k in obj],
+            [(obj["config"], k) for k in obj["config"]],
+            [(tensors, i) for i in range(len(tensors))],
+            [(entry, k) for entry in tensors for k in entry]]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=150,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCheckpointReaderFuzz:
+    """``read_checkpoint`` on a damaged small file returns or raises a
+    PairposeError; nothing else escapes."""
+
+    @staticmethod
+    def read(path, content: bytes):
+        path.write_bytes(content)
+        try:
+            fileio.read_checkpoint(path)
+        except PairposeError:
+            pass
+
+    @FUZZ
+    @given(data=st.data())
+    def test_truncations_and_byte_substitutions(self, tmp_path, data):
+        path, _ = tiny_checkpoint(tmp_path, 15, n=3)
+        content = bytearray(path.read_bytes())
+        cut = data.draw(st.integers(0, len(content)))
+        edits = data.draw(st.lists(st.tuples(st.integers(0, len(content) - 1),
+                                             st.integers(0, 255)), max_size=4))
+        for index, byte in edits:
+            content[index] = byte
+        self.read(path, bytes(content[:cut] if data.draw(st.booleans())
+                              else content))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_field_deletions_and_type_changes(self, tmp_path, data):
+        path, obj = tiny_checkpoint(tmp_path, 16, n=3)
+        group = data.draw(st.sampled_from(_json_fields(obj)))
+        container, key = data.draw(st.sampled_from(group))
+        if data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(JSON_VALUES)
+        self.read(path, json.dumps(obj).encode())
 
 
 class TestDatasetDir:
