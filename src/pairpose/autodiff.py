@@ -11,6 +11,10 @@ at most ``MAX_KINKS`` coordinates.
 
 A graph and its tensors form a single-threaded unit of work; parameters are
 plain leaf tensors whose ``values`` the optimizer updates in place.
+``backward`` consumes the graph: once an interior tensor's VJP has run, the
+tensor drops its gradient, closure and parent links, so the graph upstream
+of it is freed during the walk.  Only leaves keep ``grad``; every tensor
+keeps ``values``.  A graph can therefore be walked once.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ MAX_KINKS = 2
 class Tensor:
     """A 2-D float64 array with optional gradient tracking."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, values, requires_grad=False, _parents=(), _backward=None):
         v = np.asarray(values, dtype=np.float64)
@@ -77,12 +82,21 @@ def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # a fresh array (g may be shared by two inputs, or a view) holding
+        # the bits of 0.0 + g, as a zero fill followed by += would
+        t.grad = g + 0.0
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor):
-    """Populate ``grad`` on every requires_grad tensor reachable from loss."""
+    """Populate ``grad`` on every requires_grad leaf reachable from loss.
+
+    Consumes the graph: after an interior tensor's VJP has run, its
+    ``grad``, ``_backward`` and ``_parents`` are cleared, so what no caller
+    still holds is freed as the walk goes.  Interior tensors (the loss too)
+    keep only their ``values``.
+    """
     if loss.shape != (1, 1):
         raise NonScalarLoss(f"backward needs a 1x1 loss, got {loss.shape}")
     topo, seen = [], set()
@@ -100,9 +114,14 @@ def backward(loss: Tensor):
             if id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones((1, 1))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if not node._parents:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = node._backward = None
+        node._parents = ()
 
 
 def zero_grad(params):
@@ -120,8 +139,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_v = a.values @ b.values
 
     def back(g):
-        _accumulate(a, g @ b.values.T)
-        _accumulate(b, a.values.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.values.T)
+        if b.requires_grad:
+            _accumulate(b, a.values.T @ g)
 
     return _result(out_v, (a, b), back)
 
@@ -234,8 +255,10 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         scale = 2.0 * g[0, 0] / size
-        _accumulate(a, scale * diff)
-        _accumulate(b, -scale * diff)
+        if a.requires_grad:
+            _accumulate(a, scale * diff)
+        if b.requires_grad:
+            _accumulate(b, -scale * diff)
 
     return _result(np.mean(diff ** 2), (a, b), back)
 
@@ -249,8 +272,10 @@ def l1(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         scale = g[0, 0] / size
-        _accumulate(a, scale * np.sign(diff))
-        _accumulate(b, -scale * np.sign(diff))
+        if a.requires_grad:
+            _accumulate(a, scale * np.sign(diff))
+        if b.requires_grad:
+            _accumulate(b, -scale * np.sign(diff))
 
     return _result(np.mean(np.abs(diff)), (a, b), back)
 

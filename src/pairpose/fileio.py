@@ -84,7 +84,7 @@ def read_ply(path, viewpoint=None, k_neighbors: int = 12) -> OrientedPointCloud:
         for line in fh:
             line = line.strip()
             if line.startswith("format"):
-                if line.split()[1] != "ascii":
+                if line.split()[1:2] != ["ascii"]:
                     raise MalformedHeader(f"{path}: only ASCII PLY is supported")
                 saw_format = True
             elif line.startswith("comment frame "):
@@ -143,14 +143,19 @@ def pose_to_obj(pose: Pose, provenance: str | None = None) -> dict:
     return obj
 
 
-def pose_from_obj(obj) -> Pose:
+def pose_from_obj(obj, where) -> Pose:
+    """A pose.v1 object as a Pose; ``where`` names it in error messages."""
     if not isinstance(obj, dict) or obj.get("format") != "pose.v1":
-        raise SchemaViolation(f"expected pose.v1 object, got {obj!r:.80}")
+        raise SchemaViolation(f"{where}: expected pose.v1 object, "
+                              f"got {obj!r:.80}")
     q, t = obj.get("q"), obj.get("t")
     if not (isinstance(q, list) and len(q) == 4 and isinstance(t, list)
-            and len(t) == 3):
-        raise SchemaViolation("pose.v1 needs q[4] and t[3]")
-    return Pose(np.array(q, dtype=np.float64), np.array(t, dtype=np.float64))
+            and len(t) == 3 and all(type(v) in (int, float) for v in q + t)):
+        raise SchemaViolation(f"{where}: pose.v1 needs q[4] and t[3] numbers")
+    try:
+        return Pose(np.array(q, dtype=np.float64), np.array(t, dtype=np.float64))
+    except (NonFiniteInput, OverflowError, ValueError) as exc:
+        raise SchemaViolation(f"{where}: pose.v1 {exc}")
 
 
 def write_pose(path, pose: Pose):
@@ -161,7 +166,7 @@ def write_pose(path, pose: Pose):
 
 def read_pose(path) -> Pose:
     with open(path) as fh:
-        return pose_from_obj(json.load(fh))
+        return pose_from_obj(json.load(fh), path)
 
 
 def write_pose_set(path, pose_set: PoseSet):
@@ -177,7 +182,8 @@ def read_pose_set(path) -> PoseSet:
         arr = json.load(fh)
     if not isinstance(arr, list):
         raise SchemaViolation("pose set file must be a JSON array")
-    poses = tuple(pose_from_obj(o) for o in arr)
+    poses = tuple(pose_from_obj(o, f"{path}: pose {i}")
+                  for i, o in enumerate(arr))
     prov = tuple(o.get("provenance", "direct") for o in arr)
     return PoseSet(poses, prov)
 
@@ -231,7 +237,7 @@ def write_correspondences(path, c: CorrespondenceSet):
 def read_correspondences(path) -> CorrespondenceSet:
     with open(path) as fh:
         obj = json.load(fh)
-    if obj.get("format") != "corr.v1":
+    if not isinstance(obj, dict) or obj.get("format") != "corr.v1":
         raise SchemaViolation(f"{path}: expected corr.v1")
     try:
         src = np.asarray(obj["source"], dtype=np.float64)
@@ -240,7 +246,7 @@ def read_correspondences(path) -> CorrespondenceSet:
             raise SchemaViolation(f"{path}: source/target must be (N, 6)")
         return CorrespondenceSet(src[:, :3], src[:, 3:], tgt[:, :3], tgt[:, 3:],
                                  obj["direction"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"{path}: {exc}")
 
 
@@ -632,8 +638,9 @@ def load_dataset(in_dir) -> Dataset:
         records, train_idx, test_idx = [], [], []
         for i, entry in enumerate(manifest["scenes"]):
             scene = read_ply(os.path.join(in_dir, entry["file"]))
-            records.append(SceneRecord(scene, pose_from_obj(entry["pose"]),
-                                       entry["scene_seed"]))
+            records.append(SceneRecord(
+                scene, pose_from_obj(entry["pose"], f"{path}: scene {i}"),
+                entry["scene_seed"]))
             (train_idx if entry["split"] == "train" else test_idx).append(i)
         return Dataset(model=model.with_frame("model"), records=tuple(records),
                        train_indices=tuple(train_idx),

@@ -17,6 +17,8 @@ from .errors import EmptyRecords, TooFewPoints
 from .geom import OrientedPointCloud, Pose, nearest_point_indices
 
 DEFAULT_AUC_MAX_THRESHOLD = 0.10  # meters
+# candidate margin of ``model_diameter``, in units of eps * max |c|^2
+DIAMETER_MARGIN = 256.0
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,28 @@ class MetricsReport:
 
 
 def model_diameter(model: OrientedPointCloud) -> float:
-    """Maximum pairwise distance (exact O(N^2))."""
+    """Maximum pairwise distance, exactly the largest
+    ``sqrt(np.sum((p_i - p_j) ** 2))`` over all pairs.
+
+    The Gram form |c_i|^2 + |c_j|^2 - 2 c_i.c_j on the centred cloud c
+    screens the pairs in one (N, N) array.  It differs from the squared
+    distance computed directly by at most about 24 eps max|c|^2 (rounding
+    of the centring, the products and the sums), so the pairs within
+    ``DIAMETER_MARGIN`` eps max|c|^2 of its maximum include the farthest
+    pair; only those are measured directly on the original points.
+    """
     if len(model) < 2:
         raise TooFewPoints("diameter needs at least 2 points")
     p = model.positions
-    d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=2)
-    return float(np.sqrt(d2.max()))
+    c = p - p.mean(axis=0)
+    sq = np.sum(c * c, axis=1)
+    gram = c @ c.T
+    gram *= -2.0
+    gram += sq[:, None]
+    gram += sq[None, :]
+    margin = DIAMETER_MARGIN * np.finfo(np.float64).eps * sq.max()
+    i, j = np.nonzero(gram >= gram.max() - margin)
+    return float(np.sqrt(np.sum((p[i] - p[j]) ** 2, axis=1).max()))
 
 
 def add_metric(pred: Pose, gt: Pose, model: OrientedPointCloud) -> float:

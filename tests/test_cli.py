@@ -1,13 +1,14 @@
 import base64
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pairpose.fileio as fileio
 from pairpose.cli import main
-from pairpose.geom import pose_apply, rotation_geodesic_angle
+from pairpose.geom import Pose, pose_apply, rotation_geodesic_angle
 from pairpose.solver import CorrespondenceSet
 from tests.test_geom import make_cloud
 
@@ -47,7 +48,7 @@ def read_tree(root):
     for dirpath, _, filenames in os.walk(root):
         for fn in sorted(filenames):
             p = os.path.join(dirpath, fn)
-            out[os.path.relpath(p, root)] = open(p, "rb").read()
+            out[os.path.relpath(p, root)] = Path(p).read_bytes()
     return out
 
 
@@ -66,8 +67,8 @@ class TestSynthCommand:
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         main(["synth", "--out", a, "--config", toy_config, "--seed", "0"])
         main(["synth", "--out", b, "--config", toy_config, "--seed", "1"])
-        pa = open(os.path.join(a, "scenes/scene_0000.ply"), "rb").read()
-        pb = open(os.path.join(b, "scenes/scene_0000.ply"), "rb").read()
+        pa = Path(a, "scenes/scene_0000.ply").read_bytes()
+        pb = Path(b, "scenes/scene_0000.ply").read_bytes()
         assert pa != pb
 
 
@@ -75,7 +76,7 @@ class TestPpfTargetCommand:
     def test_writes_weight_matrix(self, tmp_path, toy_config):
         ds_dir = str(tmp_path / "ds")
         main(["synth", "--out", ds_dir, "--config", toy_config, "--seed", "0"])
-        manifest = json.load(open(os.path.join(ds_dir, "manifest.json")))
+        manifest = json.loads(Path(ds_dir, "manifest.json").read_text())
         scene_file = os.path.join(ds_dir, manifest["scenes"][0]["file"])
         pose_file = str(tmp_path / "gt.json")
         with open(pose_file, "w") as fh:
@@ -138,6 +139,63 @@ class TestSolveCommand:
         assert "error" in err and "message" in err
 
 
+def assert_one_error_line(capsys, rc, error, path):
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    obj = json.loads(err[0])
+    assert obj["error"] == error
+    assert str(path) in obj["message"]
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"format": "corr.v1", "direction": "model_to_scene", '
+        '"source": [[{}, 0, 0, 0, 0, 1]], "target": [[0, 0, 0, 0, 0, 1]]}',
+    ], ids=["top_level_array", "non_number_value"])
+    def test_solve_rejects_malformed_correspondences(self, tmp_path, capsys,
+                                                     text):
+        corr = tmp_path / "corr.json"
+        corr.write_text(text)
+        rc = main(["solve", "--corr", str(corr),
+                   "--out", str(tmp_path / "o.json")])
+        assert_one_error_line(capsys, rc, "SchemaViolation", corr)
+
+    def ppf_target(self, tmp_path, scene=None, pose=None):
+        cloud = tmp_path / "cloud.ply"
+        fileio.write_ply(cloud, make_cloud(np.random.default_rng(0), 12))
+        if pose is None:
+            pose = tmp_path / "pose.json"
+            fileio.write_pose(pose, Pose.identity())
+        return main(["ppf-target", "--scene", str(scene or cloud),
+                     "--model", str(cloud), "--pose", str(pose),
+                     "--out", str(tmp_path / "w.txt")])
+
+    @pytest.mark.parametrize("q,t", [
+        ([{}, 0, 0, 0], [0, 0, 0]),
+        ([1, 0, 0, 0], [0, "0", 0]),
+        ([1, 0, 0, 0], [0, True, 0]),
+        ([10 ** 400, 0, 0, 0], [0, 0, 0]),
+        ([float("nan"), 0, 0, 0], [0, 0, 0]),
+        ([0, 0, 0, 0], [0, 0, 0]),
+    ], ids=["object_in_q", "string_in_t", "bool_in_t", "int_beyond_float",
+            "nan_in_q", "zero_q"])
+    def test_ppf_target_rejects_pose_that_is_not_a_rigid_transform(
+            self, tmp_path, capsys, q, t):
+        pose = tmp_path / "bad_pose.json"
+        pose.write_text(json.dumps({"format": "pose.v1", "q": q, "t": t}))
+        rc = self.ppf_target(tmp_path, pose=pose)
+        assert_one_error_line(capsys, rc, "SchemaViolation", pose)
+
+    def test_ppf_target_rejects_ply_format_line_without_value(self, tmp_path,
+                                                              capsys):
+        scene = tmp_path / "scene.ply"
+        scene.write_text("ply\nformat\n")
+        rc = self.ppf_target(tmp_path, scene=scene)
+        assert_one_error_line(capsys, rc, "MalformedHeader", scene)
+
+
 class TestTrainEvalCommands:
     def test_train_eval_round_trip_and_determinism(self, tmp_path, toy_config):
         ds_dir = str(tmp_path / "ds")
@@ -160,12 +218,12 @@ class TestTrainEvalCommands:
         assert main(["eval", "--dataset", ds_dir,
                      "--checkpoint", os.path.join(run_a, "checkpoint.json"),
                      "--out", out_b, "--config", toy_config, "--seed", "0"]) == 0
-        assert open(out_a + ".csv", "rb").read() == open(out_b + ".csv", "rb").read()
-        assert open(out_a + ".json", "rb").read() == open(out_b + ".json", "rb").read()
-        report = json.load(open(out_a + ".json"))
+        for ext in (".csv", ".json"):
+            assert Path(out_a + ext).read_bytes() == Path(out_b + ext).read_bytes()
+        report = json.loads(Path(out_a + ".json").read_text())
         assert report["format"] == "metrics.v1"
         assert 0.0 <= report["auc"] <= 1.0
-        csv_lines = open(out_a + ".csv").read().splitlines()
+        csv_lines = Path(out_a + ".csv").read_text().splitlines()
         assert csv_lines[0] == "object,add_auc,adds_auc,acc_0p1d,acc_2cm,n"
         assert len(csv_lines) == 2
 
@@ -300,7 +358,7 @@ class TestGradcheckCommand:
         out = str(tmp_path / "report.json")
         assert main(["gradcheck", "--instances", "3", "--out", out,
                      "--seed", "0"]) == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert report["passed"] is True
         assert report["end_to_end"]["passed"] is True
 
@@ -313,7 +371,7 @@ class TestAblateCommand:
         assert main(["ablate", "--dataset", ds_dir, "--grid", "attention",
                      "--out", out, "--config", toy_config, "--set",
                      "epochs=1", "--seed", "0"]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == ("attn_direct,attn_match,add_auc,adds_auc,"
                             "acc_0p1d,acc_2cm,corr_l1,n")
         assert len(lines) == 5

@@ -44,6 +44,36 @@ class TestDiameter:
         with pytest.raises(TooFewPoints):
             model_diameter(cloud)
 
+    @staticmethod
+    def reference(p):
+        """Every pair's squared distance in one (N, N, 3) broadcast."""
+        d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=2)
+        return float(np.sqrt(d2.max()))
+
+    @staticmethod
+    def cloud(p):
+        return OrientedPointCloud(p, np.tile([0.0, 0.0, 1.0], (len(p), 1)),
+                                  "model")
+
+    def test_equals_broadcast_formula(self):
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n = int(rng.integers(2, 400))
+            p = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-4, 2)
+            if trial % 3 == 0:      # far from the origin
+                p += rng.standard_normal(3) * 10.0 ** rng.uniform(3, 8)
+            if trial % 2 == 0:      # repeated points, so tied pairs
+                p = p[rng.integers(0, n, n)]
+            assert model_diameter(self.cloud(p)) == self.reference(p), trial
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_tied_diagonals_and_coincident_points(self, offset):
+        corners = np.array([[x, y, z] for x in (0.0, 0.1) for y in (0.0, 0.2)
+                            for z in (0.0, 0.3)]) + offset
+        assert model_diameter(self.cloud(corners)) == self.reference(corners)
+        same = np.full((5, 3), 0.7 + offset)
+        assert model_diameter(self.cloud(same)) == 0.0
+
 
 class TestAddAdds:
     def test_equal_poses_zero(self):
