@@ -20,6 +20,7 @@ and read than decimal text.  Formats:
 from __future__ import annotations
 
 import base64
+import io
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -41,6 +42,32 @@ from .synth import Dataset, SceneRecord, SceneSpec, ShapeSpec
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _read_text(path) -> str:
+    """The whole file, read in 1 MB pieces: the pieces fit into heap memory
+    freed earlier, where one whole-file read needs two fresh blocks of the
+    file's size at once (its bytes and their decoded string)."""
+    with open(path) as fh:
+        return "".join(iter(lambda: fh.read(1 << 20), ""))
+
+
+def _text_file(path) -> io.StringIO:
+    """The file's text as a file object; bytes that are not UTF-8 are a
+    SchemaViolation naming the file."""
+    try:
+        return io.StringIO(_read_text(path))
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(f"{path}: not a UTF-8 text file: {exc}")
+
+
+def _load_json(path, object_hook=None):
+    """The parsed JSON file; unparseable input is a SchemaViolation naming
+    the file."""
+    try:
+        return json.loads(_read_text(path), object_hook=object_hook)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaViolation(f"{path}: not a JSON file: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +100,7 @@ def read_ply(path, viewpoint=None, k_neighbors: int = 12) -> OrientedPointCloud:
     Files without normal properties raise MissingNormals unless a viewpoint
     is given, in which case normals are estimated from k-NN covariances.
     """
-    with open(path) as fh:
+    with _text_file(path) as fh:
         first = fh.readline().strip()
         if first != "ply":
             raise MalformedHeader(f"{path}: not a PLY file")
@@ -90,7 +117,12 @@ def read_ply(path, viewpoint=None, k_neighbors: int = 12) -> OrientedPointCloud:
             elif line.startswith("comment frame "):
                 frame = line.split()[-1]
             elif line.startswith("element vertex"):
-                n_vertex = int(line.split()[-1])
+                try:
+                    n_vertex = int(line.split()[-1])
+                except ValueError:
+                    n_vertex = -1
+                if n_vertex < 0:
+                    raise MalformedHeader(f"{path}: bad vertex count in {line!r}")
             elif line.startswith("element"):
                 raise MalformedHeader(f"{path}: unsupported element {line!r}")
             elif line.startswith("property"):
@@ -108,36 +140,44 @@ def read_ply(path, viewpoint=None, k_neighbors: int = 12) -> OrientedPointCloud:
         if props[:3] != ["x", "y", "z"]:
             raise MalformedHeader(f"{path}: first properties must be x y z")
         rows = []
-        for _ in range(n_vertex):
+        for i in range(n_vertex):
             line = fh.readline()
             if not line:
                 raise MalformedHeader(f"{path}: fewer rows than declared")
-            rows.append([float(v) for v in line.split()])
-    data = np.asarray(rows, dtype=np.float64)
-    if data.shape != (n_vertex, len(props)):
-        raise MalformedHeader(f"{path}: row width does not match properties")
+            try:
+                rows.append([float(v) for v in line.split()])
+            except ValueError:
+                raise MalformedHeader(f"{path}: non-numeric value in row {i}")
+            if len(rows[-1]) != len(props):
+                raise MalformedHeader(f"{path}: row width does not match "
+                                      f"properties")
+    data = np.array(rows, dtype=np.float64).reshape(n_vertex, len(props))
     if not np.all(np.isfinite(data)):
         raise NonFiniteInput(f"{path}: non-finite coordinate")
     positions = data[:, :3]
-    if {"nx", "ny", "nz"}.issubset(props):
-        idx = [props.index(a) for a in ("nx", "ny", "nz")]
-        normals = data[:, idx]
-        if frame not in ("model", "scene", "canonical"):
-            frame = "scene"
-        return OrientedPointCloud(positions, normals, frame)
-    if viewpoint is None:
-        raise MissingNormals(f"{path}: no nx/ny/nz properties "
-                             "(pass a viewpoint to estimate normals)")
-    return estimate_normals(positions, k_neighbors, viewpoint)
+    try:
+        if {"nx", "ny", "nz"}.issubset(props):
+            idx = [props.index(a) for a in ("nx", "ny", "nz")]
+            normals = data[:, idx]
+            if frame not in ("model", "scene", "canonical"):
+                frame = "scene"
+            return OrientedPointCloud(positions, normals, frame)
+        if viewpoint is None:
+            raise MissingNormals(f"{path}: no nx/ny/nz properties "
+                                 "(pass a viewpoint to estimate normals)")
+        return estimate_normals(positions, k_neighbors, viewpoint)
+    except ValueError as exc:   # no points, or normals that are not unit
+        raise SchemaViolation(f"{path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
 # pose JSON
 # ---------------------------------------------------------------------------
 
-def pose_to_obj(pose: Pose, provenance: str | None = None) -> dict:
-    obj = {"format": "pose.v1", "q": [float(v) for v in pose.q],
-           "t": [float(v) for v in pose.t]}
+def pose_to_obj(q, t, provenance: str | None = None) -> dict:
+    """The pose.v1 object of rotation q (4,) and translation t (3,)."""
+    obj = {"format": "pose.v1", "q": [float(v) for v in q],
+           "t": [float(v) for v in t]}
     if provenance is not None:
         obj["provenance"] = provenance
     return obj
@@ -160,32 +200,33 @@ def pose_from_obj(obj, where) -> Pose:
 
 def write_pose(path, pose: Pose):
     with open(path, "w") as fh:
-        json.dump(pose_to_obj(pose), fh, indent=2)
+        json.dump(pose_to_obj(pose.q, pose.t), fh, indent=2)
         fh.write("\n")
 
 
 def read_pose(path) -> Pose:
-    with open(path) as fh:
-        return pose_from_obj(json.load(fh), path)
+    return pose_from_obj(_load_json(path), path)
 
 
 def write_pose_set(path, pose_set: PoseSet):
-    arr = [pose_to_obj(p, prov)
-           for p, prov in zip(pose_set.poses, pose_set.provenance)]
+    arr = [pose_to_obj(q, t, prov) for q, t, prov in
+           zip(pose_set.quats, pose_set.trans, pose_set.provenance)]
     with open(path, "w") as fh:
         json.dump(arr, fh, indent=2)
         fh.write("\n")
 
 
 def read_pose_set(path) -> PoseSet:
-    with open(path) as fh:
-        arr = json.load(fh)
+    arr = _load_json(path)
     if not isinstance(arr, list):
-        raise SchemaViolation("pose set file must be a JSON array")
-    poses = tuple(pose_from_obj(o, f"{path}: pose {i}")
-                  for i, o in enumerate(arr))
-    prov = tuple(o.get("provenance", "direct") for o in arr)
-    return PoseSet(poses, prov)
+        raise SchemaViolation(f"{path}: pose set file must be a JSON array")
+    poses = [pose_from_obj(o, f"{path}: pose {i}") for i, o in enumerate(arr)]
+    try:
+        return PoseSet(np.array([p.q for p in poses]).reshape(-1, 4),
+                       np.array([p.t for p in poses]).reshape(-1, 3),
+                       [o.get("provenance", "direct") for o in arr])
+    except ValueError as exc:
+        raise SchemaViolation(f"{path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +244,7 @@ def write_matrix(path, matrix: np.ndarray):
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path) as fh:
+    with _text_file(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise SchemaViolation(f"{path}: matrix header must be 'rows cols'")
@@ -212,10 +253,15 @@ def read_matrix(path) -> np.ndarray:
         except ValueError:
             raise SchemaViolation(f"{path}: non-integer matrix header")
         values = fh.read().split()
+    if rows < 0 or cols < 0:
+        raise SchemaViolation(f"{path}: negative matrix size {rows} x {cols}")
     if len(values) != rows * cols:
         raise SchemaViolation(f"{path}: expected {rows * cols} values, "
                               f"got {len(values)}")
-    return np.array(values, dtype=np.float64).reshape(rows, cols)
+    try:
+        return np.array(values, dtype=np.float64).reshape(rows, cols)
+    except ValueError as exc:
+        raise SchemaViolation(f"{path}: non-numeric matrix value: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +281,7 @@ def write_correspondences(path, c: CorrespondenceSet):
 
 
 def read_correspondences(path) -> CorrespondenceSet:
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _load_json(path)
     if not isinstance(obj, dict) or obj.get("format") != "corr.v1":
         raise SchemaViolation(f"{path}: expected corr.v1")
     try:
@@ -246,7 +291,7 @@ def read_correspondences(path) -> CorrespondenceSet:
             raise SchemaViolation(f"{path}: source/target must be (N, 6)")
         return CorrespondenceSet(src[:, :3], src[:, 3:], tgt[:, :3], tgt[:, 3:],
                                  obj["direction"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaViolation(f"{path}: {exc}")
 
 
@@ -481,22 +526,10 @@ def _decode_tensor(obj, path):
     return obj
 
 
-def _read_text(path) -> str:
-    """The whole file, read in 1 MB pieces: the pieces fit into heap memory
-    freed earlier, where one whole-file read needs two fresh blocks of the
-    file's size at once (its bytes and their decoded string)."""
-    with open(path) as fh:
-        return "".join(iter(lambda: fh.read(1 << 20), ""))
-
-
 def read_checkpoint(path):
     """Load (params, config, n_points) from checkpoint.v2; tensor names and
     shapes must match what the stored config implies."""
-    try:
-        obj = json.loads(_read_text(path),
-                         object_hook=lambda o: _decode_tensor(o, path))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise SchemaViolation(f"{path}: not a JSON file: {exc}")
+    obj = _load_json(path, object_hook=lambda o: _decode_tensor(o, path))
     if isinstance(obj, dict) and obj.get("format") == "checkpoint.v1":
         raise SchemaViolation(f"{path}: checkpoint.v1 is no longer read; "
                               f"retrain the model to write checkpoint.v2")
@@ -584,7 +617,7 @@ def save_dataset(out_dir, dataset: Dataset, seed: int):
         write_ply(os.path.join(out_dir, rel), rec.scene)
         entries.append({
             "file": rel,
-            "pose": pose_to_obj(rec.gt),
+            "pose": pose_to_obj(rec.gt.q, rec.gt.t),
             "scene_seed": rec.seed,
             "split": "train" if i in dataset.train_indices else "test",
         })

@@ -5,7 +5,10 @@ Conventions used everywhere in this package:
 * quaternions are stored as (w, x, y, z) with canonical sign w >= 0;
 * a ``Pose`` maps model-frame coordinates into the scene frame,
   ``p_scene = R p_model + t``;
-* normals transform with the rotation only.
+* normals transform with the rotation only;
+* quaternion helpers take one quaternion (4,) or a batch (..., 4) of rows,
+  and ``quat_normalize`` gives a row the same bits either way, so pose sets
+  keep their candidates as arrays.
 """
 
 from __future__ import annotations
@@ -42,29 +45,25 @@ def normalize(v) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def quat_normalize(q) -> np.ndarray:
-    """Normalize to unit length and canonical sign (w >= 0).
+    """Unit length and canonical sign (w >= 0) per row: (..., 4) -> same.
 
-    When w is exactly zero the sign of the first non-zero component is
-    made positive so canonicalization stays deterministic.  Quaternions
-    already unit to 1e-12 are left untouched (idempotent round trips).
-    """
-    a = np.asarray(q, dtype=np.float64).reshape(4)
-    if not np.all(np.isfinite(a)):
+    When w is zero the first non-zero component is made positive.  Rows
+    unit to 1e-12 are left untouched (idempotent round trips).  Each norm is
+    one dot product, rounded like the 1-D ``np.linalg.norm``, so a row gets
+    the same bits alone or in a batch."""
+    a = np.asarray(q, dtype=np.float64)
+    if a.shape[-1:] != (4,):
+        raise ValueError(f"quaternions must be (..., 4), got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise NonFiniteInput(f"quaternion has non-finite components: {a}")
-    n = np.linalg.norm(a)
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero quaternion")
-    if abs(n - 1.0) > 1e-12:
-        a = a / n
-    else:
-        a = a.copy()
-    if a[0] < 0.0:
-        a = -a
-    elif a[0] == 0.0:
-        nz = np.nonzero(a)[0]
-        if a[nz[0]] < 0.0:
-            a = -a
-    return a
+    with np.errstate(over="ignore"):   # an overflow is rejected below
+        n = np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0]
+    if not ((n > 0.0) & (n < np.inf)).all():
+        raise ValueError("cannot normalize a quaternion of norm 0 or inf")
+    a = a / np.where(np.abs(n - 1.0) > 1e-12, n, 1.0)
+    # sign(a) . (8, 4, 2, 1) has the sign of the first non-zero component
+    lead = np.sign(a) @ np.array([8.0, 4.0, 2.0, 1.0])
+    return np.where((lead < 0.0)[..., None], -a, a)
 
 
 def quat_multiply(a, b) -> np.ndarray:
@@ -196,7 +195,7 @@ class Pose:
     t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", quat_normalize(self.q))
+        object.__setattr__(self, "q", quat_normalize(np.reshape(self.q, 4)))
         object.__setattr__(self, "t", _vec3(self.t))
         self.q.flags.writeable = False
         self.t.flags.writeable = False

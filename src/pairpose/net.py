@@ -404,19 +404,13 @@ def _scene_inputs(scene: OrientedPointCloud, cfg: NetConfig):
     return center, ad.Tensor(np.hstack(cols)), ad.Tensor(np.hstack([pos, scene.normals]))
 
 
-def _model_inputs(model: OrientedPointCloud):
-    x = np.hstack([model.positions, model.normals])
-    return ad.Tensor(x), ad.Tensor(x)
-
-
 @dataclass
 class SceneInputs:
     """Network inputs for one scene; none of them depends on the pose."""
 
     xs_feat: ad.Tensor      # scene input for the branch extractor
     xs_psn: ad.Tensor       # scene input for the PSN (always 6 columns)
-    xm_feat: ad.Tensor
-    xm_psn: ad.Tensor
+    xm: ad.Tensor           # model input [P_m | N_m] for both extractors
     center: np.ndarray
 
 
@@ -445,9 +439,8 @@ def scene_inputs(scene: OrientedPointCloud, model: OrientedPointCloud,
     if len(scene) != len(model):
         raise SizeMismatch(f"scene {len(scene)} vs model {len(model)} points")
     center, xs_feat, xs_psn = _scene_inputs(scene, cfg)
-    xm_feat, xm_psn = _model_inputs(model)
-    return SceneInputs(xs_feat=xs_feat, xs_psn=xs_psn, xm_feat=xm_feat,
-                       xm_psn=xm_psn, center=center)
+    xm = ad.Tensor(np.hstack([model.positions, model.normals]))
+    return SceneInputs(xs_feat=xs_feat, xs_psn=xs_psn, xm=xm, center=center)
 
 
 def correspondence_targets(scene: OrientedPointCloud, model: OrientedPointCloud,
@@ -489,10 +482,10 @@ def forward_all(prep: SceneInputs, params: dict, cfg: NetConfig,
     """
     out = {}
     attn = head_attn = None
-    f_s, f_m = feature_forward(prep.xs_feat, prep.xm_feat, params, cfg)
+    f_s, f_m = feature_forward(prep.xs_feat, prep.xm, params, cfg)
     if cfg.uses_attention_map:
         if cfg.attention_source == "psn":
-            f_sa, f_ma = psn_forward(prep.xs_psn, prep.xm_psn, params, cfg)
+            f_sa, f_ma = psn_forward(prep.xs_psn, prep.xm, params, cfg)
         else:
             f_sa = ad.row_l2_normalize(f_s)
             f_ma = ad.row_l2_normalize(f_m)
@@ -634,11 +627,9 @@ def predict(params: dict, cfg: NetConfig, scene: OrientedPointCloud,
     t_s = poses_from_matches(corr_scene, cfg.num_pairs, int(seeds[0]))
     t_m = poses_from_matches(corr_model, cfg.num_pairs, int(seeds[1]))
 
-    quats = outputs["quats"].values
-    trans = outputs["trans"].values + inputs.center
-    t_d = PoseSet(tuple(Pose(q, t) for q, t in zip(quats, trans)),
-                  ("direct",) * quats.shape[0])
-
+    t_d = PoseSet(outputs["quats"].values,
+                  outputs["trans"].values + inputs.center,
+                  ("direct",) * len(scene))
     pose_set = PoseSet.union(t_d, t_s, t_m)
     return Prediction(final_pose=average_poses(pose_set), pose_set=pose_set,
                       corr_scene=corr_scene, corr_model=corr_model,

@@ -87,31 +87,37 @@ class CorrespondenceSet:
 
 @dataclass(frozen=True, eq=False)
 class PoseSet:
-    """Poses with a provenance tag per entry (direct / scene-branch / model-branch)."""
+    """K candidate poses as rows: unit quaternions ``quats`` (K, 4), wxyz with
+    w >= 0, translations ``trans`` (K, 3) and a provenance tag per row
+    (direct / scene-branch / model-branch); validated once, then frozen."""
 
-    poses: tuple
+    quats: np.ndarray
+    trans: np.ndarray
     provenance: tuple
 
     def __post_init__(self):
-        poses = tuple(self.poses)
+        q = quat_normalize(np.asarray(self.quats, dtype=np.float64, order="C"))
+        t = np.array(self.trans, dtype=np.float64, order="C")
         prov = tuple(self.provenance)
-        if len(poses) != len(prov):
-            raise ValueError("poses and provenance lengths differ")
+        if q.ndim != 2 or t.shape != (len(q), 3) or len(prov) != len(q):
+            raise ValueError(f"lengths differ: quats {q.shape}, trans "
+                             f"{t.shape}, {len(prov)} provenance tags")
         if any(p not in PROVENANCES for p in prov):
             raise ValueError(f"unknown provenance tag in {prov}")
-        object.__setattr__(self, "poses", poses)
-        object.__setattr__(self, "provenance", prov)
+        if not np.isfinite(t).all():
+            raise NonFiniteInput("pose set translations are not finite")
+        q.flags.writeable = t.flags.writeable = False
+        for name, value in (("quats", q), ("trans", t), ("provenance", prov)):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
-        return len(self.poses)
+        return len(self.provenance)
 
     @staticmethod
     def union(*sets: "PoseSet") -> "PoseSet":
-        poses, prov = [], []
-        for s in sets:
-            poses.extend(s.poses)
-            prov.extend(s.provenance)
-        return PoseSet(tuple(poses), tuple(prov))
+        return PoseSet(np.concatenate([s.quats for s in sets]),
+                       np.concatenate([s.trans for s in sets]),
+                       sum((s.provenance for s in sets), ()))
 
 
 def kabsch_points(src: np.ndarray, tgt: np.ndarray,
@@ -220,8 +226,7 @@ def poses_from_matches(c: CorrespondenceSet, num_pairs: int, seed: int) -> PoseS
     q, t, valid = align_pairs(mp[pairs], mn[pairs], sp[pairs], sn[pairs])
     if not valid.any():
         raise AllPairsDegenerate(f"all {num_pairs} sampled pairs were degenerate")
-    poses = tuple(Pose(qk, tk) for qk, tk in zip(q[valid], t[valid]))
-    return PoseSet(poses, (tag,) * len(poses))
+    return PoseSet(q[valid], t[valid], (tag,) * int(valid.sum()))
 
 
 def average_poses(s: PoseSet) -> Pose:
@@ -233,8 +238,5 @@ def average_poses(s: PoseSet) -> Pose:
     """
     if len(s) == 0:
         raise EmptySet("cannot average an empty pose set")
-    t = np.mean([p.t for p in s.poses], axis=0)
-    quats = np.array([p.q for p in s.poses])
-    evals, evecs = np.linalg.eigh(quats.T @ quats)
-    q = quat_normalize(evecs[:, np.argmax(evals)])
-    return Pose(q, t)
+    evals, evecs = np.linalg.eigh(s.quats.T @ s.quats)
+    return Pose(evecs[:, np.argmax(evals)], np.mean(s.trans, axis=0))

@@ -286,17 +286,21 @@ class TestCriterion5PoseAveraging:
     def test_averaging_identities(self):
         rng = np.random.default_rng(104)
         p = random_pose(rng)
-        same = average_poses(PoseSet((p, p, p, p), ("direct",) * 4))
+        same = average_poses(PoseSet(np.array([p.q] * 4), np.array([p.t] * 4),
+                                     ("direct",) * 4))
         ok_idem = (rotation_geodesic_angle(same.q, p.q) < 1e-12
                    and np.allclose(same.t, p.t, atol=1e-15))
 
         flipped = Pose(-np.asarray(p.q), p.t)
-        mixed = average_poses(PoseSet((p, flipped), ("direct",) * 2))
+        mixed = average_poses(PoseSet(np.array([p.q, flipped.q]),
+                                      np.array([p.t, flipped.t]),
+                                      ("direct",) * 2))
         ok_sign = rotation_geodesic_angle(mixed.q, p.q) < 1e-12
 
         a = Pose.identity()
         b = Pose.from_axis_angle([0, 0, 1], np.deg2rad(10.0))
-        mid = average_poses(PoseSet((a, b), ("direct",) * 2))
+        mid = average_poses(PoseSet(np.array([a.q, b.q]), np.array([a.t, b.t]),
+                                    ("direct",) * 2))
         expected = Pose.from_axis_angle([0, 0, 1], np.deg2rad(5.0))
         ok_bisect = rotation_geodesic_angle(mid.q, expected.q) < 1e-6
 

@@ -151,9 +151,10 @@ def assert_one_error_line(capsys, rc, error, path):
 class TestMalformedInputFiles:
     @pytest.mark.parametrize("text", [
         "[]",
+        '{"format": "corr.v1", ',
         '{"format": "corr.v1", "direction": "model_to_scene", '
         '"source": [[{}, 0, 0, 0, 0, 1]], "target": [[0, 0, 0, 0, 0, 1]]}',
-    ], ids=["top_level_array", "non_number_value"])
+    ], ids=["top_level_array", "not_json", "non_number_value"])
     def test_solve_rejects_malformed_correspondences(self, tmp_path, capsys,
                                                      text):
         corr = tmp_path / "corr.json"
@@ -179,8 +180,9 @@ class TestMalformedInputFiles:
         ([10 ** 400, 0, 0, 0], [0, 0, 0]),
         ([float("nan"), 0, 0, 0], [0, 0, 0]),
         ([0, 0, 0, 0], [0, 0, 0]),
+        ([1e200, 0, 0, 0], [0, 0, 0]),
     ], ids=["object_in_q", "string_in_t", "bool_in_t", "int_beyond_float",
-            "nan_in_q", "zero_q"])
+            "nan_in_q", "zero_q", "q_norm_overflows"])
     def test_ppf_target_rejects_pose_that_is_not_a_rigid_transform(
             self, tmp_path, capsys, q, t):
         pose = tmp_path / "bad_pose.json"

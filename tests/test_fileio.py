@@ -88,6 +88,15 @@ class TestPly:
             fileio.read_ply(path)
 
 
+def five_pose_set():
+    rng = np.random.default_rng(4)
+    poses = [random_pose(rng) for _ in range(5)]
+    return PoseSet(np.array([p.q for p in poses]),
+                   np.array([p.t for p in poses]),
+                   ("direct", "direct", "scene-branch", "model-branch",
+                    "direct"))
+
+
 class TestPoseJson:
     def test_identity_round_trip(self, tmp_path):
         path = tmp_path / "p.json"
@@ -107,16 +116,24 @@ class TestPoseJson:
             assert np.array_equal(back.t, pose.t)
 
     def test_pose_set_round_trip_with_provenance(self, tmp_path):
-        rng = np.random.default_rng(4)
-        ps = PoseSet(tuple(random_pose(rng) for _ in range(5)),
-                     ("direct", "direct", "scene-branch", "model-branch",
-                      "direct"))
+        ps = five_pose_set()
         path = tmp_path / "set.json"
         fileio.write_pose_set(path, ps)
         back = fileio.read_pose_set(path)
         assert back.provenance == ps.provenance
-        for a, b in zip(back.poses, ps.poses):
-            assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+        assert np.array_equal(back.quats, ps.quats)
+        assert np.array_equal(back.trans, ps.trans)
+
+    def test_pose_set_bytes_equal_per_pose_objects(self, tmp_path):
+        # the writer's original form: one pose.v1 object per Pose
+        ps = five_pose_set()
+        path = tmp_path / "set.json"
+        fileio.write_pose_set(path, ps)
+        poses = [Pose(q, t) for q, t in zip(ps.quats, ps.trans)]
+        objs = [{"format": "pose.v1", "q": [float(v) for v in p.q],
+                 "t": [float(v) for v in p.t], "provenance": tag}
+                for p, tag in zip(poses, ps.provenance)]
+        assert path.read_text() == json.dumps(objs, indent=2) + "\n"
 
     def test_schema_violation(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -446,14 +463,7 @@ class TestCheckpointReaderFuzz:
     @given(data=st.data())
     def test_truncations_and_byte_substitutions(self, tmp_path, data):
         path, _ = tiny_checkpoint(tmp_path, 15, n=3)
-        content = bytearray(path.read_bytes())
-        cut = data.draw(st.integers(0, len(content)))
-        edits = data.draw(st.lists(st.tuples(st.integers(0, len(content) - 1),
-                                             st.integers(0, 255)), max_size=4))
-        for index, byte in edits:
-            content[index] = byte
-        self.read(path, bytes(content[:cut] if data.draw(st.booleans())
-                              else content))
+        self.read(path, damaged(data, path.read_bytes()))
 
     @FUZZ
     @given(data=st.data())
@@ -466,6 +476,99 @@ class TestCheckpointReaderFuzz:
         else:
             container[key] = data.draw(JSON_VALUES)
         self.read(path, json.dumps(obj).encode())
+
+
+def damaged(data, content: bytes) -> bytes:
+    """Up to four byte substitutions of content, then maybe a truncation."""
+    content = bytearray(content)
+    cut = data.draw(st.integers(0, len(content)))
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(content) - 1),
+                                         st.integers(0, 255)), max_size=4))
+    for index, byte in edits:
+        content[index] = byte
+    return bytes(content[:cut] if data.draw(st.booleans()) else content)
+
+
+def small_cloud(seed=0):
+    return make_cloud(np.random.default_rng(seed), 3)
+
+
+def write_small_corr(path):
+    a, b = small_cloud(1), small_cloud(2)
+    fileio.write_correspondences(path, CorrespondenceSet(
+        a.positions, a.normals, b.positions, b.normals, "model_to_scene"))
+
+
+# reader -> a writer of a valid small file for it
+TEXT_READERS = {
+    fileio.read_ply: lambda path: fileio.write_ply(path, small_cloud()),
+    fileio.read_pose: lambda path: fileio.write_pose(
+        path, random_pose(np.random.default_rng(3))),
+    fileio.read_pose_set: lambda path: fileio.write_pose_set(
+        path, five_pose_set()),
+    fileio.read_matrix: lambda path: fileio.write_matrix(
+        path, np.random.default_rng(4).standard_normal((2, 3))),
+    fileio.read_correspondences: write_small_corr,
+}
+
+PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+              "property double y\nproperty double z\nproperty double nx\n"
+              "property double ny\nproperty double nz\nend_header\n")
+
+
+class TestTextReadersNameTheFile:
+    """Malformed input to each text reader raises a PairposeError whose
+    message names the file."""
+
+    @pytest.mark.parametrize("reader, text", [
+        (fileio.read_pose, '{"format": '),
+        (fileio.read_pose_set, "[{"),
+        (fileio.read_correspondences, "corr.v1"),
+        (fileio.read_pose_set, json.dumps([{"format": "pose.v1",
+                                            "q": [1, 0, 0, 0], "t": [0, 0, 0],
+                                            "provenance": "bogus"}])),
+        (fileio.read_pose, json.dumps({"format": "pose.v1",
+                                       "q": [1e200, 0, 0, 0], "t": [0, 0, 0]})),
+        (fileio.read_correspondences, json.dumps({
+            "format": "corr.v1", "direction": "model_to_scene",
+            "source": [[10 ** 400, 0, 0, 0, 0, 1]],
+            "target": [[0, 0, 0, 0, 0, 1]]})),
+        (fileio.read_matrix, "1 2\n1.0 abc\n"),
+        (fileio.read_matrix, "-1 -2\n1.0 2.0\n"),
+        (fileio.read_ply, PLY_HEADER.replace("vertex 1", "vertex x")
+         + "0 0 0 0 0 1\n"),
+        (fileio.read_ply, PLY_HEADER + "0 0 abc 0 0 1\n"),
+        (fileio.read_ply, PLY_HEADER + "0 0 0 0 0 2\n"),
+        (fileio.read_ply, PLY_HEADER.replace("vertex 1", "vertex 0")),
+        (fileio.read_ply, PLY_HEADER + "0 0 0\xe9 0 0 1\n"),
+    ], ids=["pose_not_json", "pose_set_not_json", "corr_not_json",
+            "pose_set_unknown_tag", "pose_norm_overflows", "corr_int_overflow",
+            "matrix_non_numeric", "matrix_negative_header",
+            "ply_vertex_count_not_a_number", "ply_non_numeric_row",
+            "ply_normal_not_unit", "ply_no_vertices", "ply_not_utf8"])
+    def test_malformed(self, tmp_path, reader, text):
+        path = tmp_path / "bad_input"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(PairposeError, match="bad_input"):
+            reader(path)
+
+
+class TestTextReaderFuzz:
+    """Each text reader on a damaged small valid file returns or raises a
+    PairposeError; nothing else escapes."""
+
+    @pytest.mark.parametrize("reader", list(TEXT_READERS),
+                             ids=lambda reader: reader.__name__)
+    @FUZZ
+    @given(data=st.data())
+    def test_truncations_and_byte_substitutions(self, tmp_path, reader, data):
+        path = tmp_path / "input"
+        TEXT_READERS[reader](path)
+        path.write_bytes(damaged(data, path.read_bytes()))
+        try:
+            reader(path)
+        except PairposeError:
+            pass
 
 
 class TestDatasetDir:

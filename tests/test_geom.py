@@ -195,6 +195,68 @@ class TestQuaternionCanonicalization:
         assert q[1] == 1.0
 
 
+def reference_quat_normalize(q):
+    """The one-quaternion normalizer that the batched one replaced."""
+    a = np.asarray(q, dtype=np.float64).reshape(4)
+    n = np.linalg.norm(a)
+    a = a / n if abs(n - 1.0) > 1e-12 else a.copy()
+    if a[0] < 0.0:
+        a = -a
+    elif a[0] == 0.0 and a[np.nonzero(a)[0][0]] < 0.0:
+        a = -a
+    return a
+
+
+class TestBatchedQuatNormalize:
+    @staticmethod
+    def rows(n=100_000, seed=30):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, 4)) * rng.uniform(1e-3, 1e3, (n, 1))
+        a[:1000, 0] = 0.0
+        a[1000:2000, 0] = -0.0
+        a[2000:2500, :2] = -0.0
+        a[2500:3000, :3] = 0.0
+        a[3000:6000] /= np.linalg.norm(a[3000:6000], axis=1, keepdims=True)
+        return a
+
+    def test_rows_bit_identical_to_single_calls_and_reference(self):
+        a = self.rows()
+        batched = quat_normalize(a)
+        assert batched.shape == a.shape
+        for row, got in zip(a, batched):
+            single = quat_normalize(row)
+            assert single.shape == (4,)
+            assert got.tobytes() == single.tobytes()
+            assert single.tobytes() == reference_quat_normalize(row).tobytes()
+
+    def test_any_leading_shape(self):
+        a = self.rows(24, seed=31).reshape(2, 3, 4, 4)
+        assert np.array_equal(quat_normalize(a),
+                              quat_normalize(a.reshape(-1, 4)).reshape(a.shape))
+
+    def test_does_not_alias_its_input(self):
+        a = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+        out = quat_normalize(a)
+        out[0, 0] = 2.0
+        assert a[0, 0] == 1.0
+
+    @pytest.mark.parametrize("bad, error", [
+        ([[1.0, 0, 0, 0], [0, 0, 0, 0]], ValueError),
+        ([[1.0, 0, 0, 0], [0, -0.0, 0, 0]], ValueError),
+        ([[1e200, 0, 0, 0]], ValueError),
+        ([[1.0, 0, 0, 0], [np.nan, 0, 0, 0]], NonFiniteInput),
+        ([[1.0, 0, np.inf, 0]], NonFiniteInput),
+        ([[1.0, 0, 0]], ValueError),
+    ], ids=["zero_row", "negative_zero_row", "norm_overflows", "nan_row",
+            "inf_row", "three_columns"])
+    def test_rejects_rows(self, bad, error):
+        with pytest.raises(error):
+            quat_normalize(bad)
+        if np.shape(bad)[-1] == 4:
+            with pytest.raises(error):
+                quat_normalize(bad[-1])
+
+
 class TestCloudValidation:
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteInput):

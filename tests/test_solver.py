@@ -5,12 +5,14 @@ from pairpose.errors import (
     AllPairsDegenerate,
     DegenerateConfiguration,
     EmptySet,
+    NonFiniteInput,
 )
 from pairpose.geom import (
     Pose,
     pose_compose,
     pose_invert,
     quat_from_axis_angle,
+    quat_to_matrix,
     random_pose,
     rotation_geodesic_angle,
 )
@@ -276,9 +278,9 @@ class TestPosesFromMatches:
         c, g = noiseless_set(rng, 30)
         ps = poses_from_matches(c, num_pairs=50, seed=0)
         assert all(tag == "scene-branch" for tag in ps.provenance)
-        for pose in ps.poses:
-            assert rotation_geodesic_angle(pose.q, g.q) < 1e-6
-            assert np.linalg.norm(pose.t - g.t) < 1e-6
+        for q, t in zip(ps.quats, ps.trans):
+            assert rotation_geodesic_angle(q, g.q) < 1e-6
+            assert np.linalg.norm(t - g.t) < 1e-6
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
@@ -286,8 +288,8 @@ class TestPosesFromMatches:
         a = poses_from_matches(c, num_pairs=1, seed=42)
         b = poses_from_matches(c, num_pairs=1, seed=42)
         assert len(a) == len(b) == 1
-        assert np.array_equal(a.poses[0].q, b.poses[0].q)
-        assert np.array_equal(a.poses[0].t, b.poses[0].t)
+        assert np.array_equal(a.quats, b.quats)
+        assert np.array_equal(a.trans, b.trans)
 
     def test_degenerate_pairs_filtered(self):
         # two correspondences whose pairing is degenerate in one order only
@@ -347,11 +349,11 @@ class TestPosesFromMatches:
                     refs.append(ref)
             ps = poses_from_matches(c, num_pairs=300, seed=5)
             assert 0 < len(ps) == len(refs) < 300
-            for pose, ref in zip(ps.poses, refs):
-                np.testing.assert_allclose(pose.rotation_matrix(),
+            for q, t, ref in zip(ps.quats, ps.trans, refs):
+                np.testing.assert_allclose(quat_to_matrix(q),
                                            ref.rotation_matrix(),
                                            rtol=0, atol=1e-12)
-                np.testing.assert_allclose(pose.t, ref.t, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(t, ref.t, rtol=0, atol=1e-12)
 
     def test_non_unit_normals_rejected(self):
         rng = np.random.default_rng(19)
@@ -362,11 +364,66 @@ class TestPosesFromMatches:
                 c.target_positions, c.target_normals, c.direction), 4, 0)
 
 
+def direct_set(*poses):
+    """The poses as a PoseSet, every row tagged direct."""
+    return PoseSet(np.array([p.q for p in poses]).reshape(-1, 4),
+                   np.array([p.t for p in poses]).reshape(-1, 3),
+                   ("direct",) * len(poses))
+
+
+class TestPoseSet:
+    def test_rows_normalized_like_single_poses(self):
+        rng = np.random.default_rng(20)
+        quats = rng.standard_normal((50, 4)) * rng.uniform(0.1, 10, (50, 1))
+        quats[:5, 0] = 0.0
+        trans = rng.standard_normal((50, 3))
+        ps = PoseSet(quats, trans, ("scene-branch",) * 50)
+        for q, t, got_q, got_t in zip(quats, trans, ps.quats, ps.trans):
+            pose = Pose(q, t)
+            assert got_q.tobytes() == pose.q.tobytes()
+            assert got_t.tobytes() == pose.t.tobytes()
+
+    def test_arrays_frozen_and_copied(self):
+        trans = np.zeros((2, 3))
+        ps = PoseSet(np.tile([1.0, 0, 0, 0], (2, 1)), trans, ("direct",) * 2)
+        trans[0, 0] = 5.0
+        assert ps.trans[0, 0] == 0.0
+        for a in (ps.quats, ps.trans):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_union_concatenates_rows_and_tags(self):
+        rng = np.random.default_rng(21)
+        a = direct_set(*(random_pose(rng) for _ in range(3)))
+        b = PoseSet(a.quats[:2], a.trans[:2], ("model-branch",) * 2)
+        u = PoseSet.union(a, b)
+        assert len(u) == 5
+        assert u.provenance == ("direct",) * 3 + ("model-branch",) * 2
+        assert np.array_equal(u.quats, np.vstack([a.quats, b.quats]))
+        assert np.array_equal(u.trans, np.vstack([a.trans, b.trans]))
+
+    @pytest.mark.parametrize("quats, trans, tags, error", [
+        (np.ones((2, 4)), np.zeros((3, 3)), ("direct",) * 2, ValueError),
+        (np.ones((2, 4)), np.zeros((2, 3)), ("direct",) * 3, ValueError),
+        (np.ones((2, 3)), np.zeros((2, 3)), ("direct",) * 2, ValueError),
+        (np.ones((2, 4)), np.zeros((2, 3)), ("direct", "bogus"), ValueError),
+        (np.ones((2, 4)), [[0, 0, 0], [0, np.inf, 0]], ("direct",) * 2,
+         NonFiniteInput),
+        ([[1, 0, 0, 0], [0, 0, 0, 0]], np.zeros((2, 3)), ("direct",) * 2,
+         ValueError),
+        ([[1, 0, 0, np.nan]], np.zeros((1, 3)), ("direct",), NonFiniteInput),
+    ], ids=["trans_length", "tag_count", "quat_width", "unknown_tag",
+            "infinite_translation", "zero_quaternion", "nan_quaternion"])
+    def test_rejects_malformed_rows(self, quats, trans, tags, error):
+        with pytest.raises(error):
+            PoseSet(quats, trans, tags)
+
+
 class TestAveragePoses:
     def test_idempotent_on_identical_poses(self):
         rng = np.random.default_rng(13)
         p = random_pose(rng)
-        ps = PoseSet((p, p, p), ("direct",) * 3)
+        ps = direct_set(p, p, p)
         avg = average_poses(ps)
         assert rotation_geodesic_angle(avg.q, p.q) < 1e-12
         np.testing.assert_allclose(avg.t, p.t, atol=1e-15)
@@ -374,7 +431,7 @@ class TestAveragePoses:
     def test_two_pose_bisection(self):
         a = Pose.identity()
         b = Pose.from_axis_angle([0, 0, 1], np.deg2rad(10.0))
-        avg = average_poses(PoseSet((a, b), ("direct", "direct")))
+        avg = average_poses(direct_set(a, b))
         expected = Pose.from_axis_angle([0, 0, 1], np.deg2rad(5.0))
         assert rotation_geodesic_angle(avg.q, expected.q) < 1e-6
 
@@ -382,18 +439,18 @@ class TestAveragePoses:
         rng = np.random.default_rng(14)
         p = random_pose(rng)
         flipped = Pose(-np.asarray(p.q), p.t)  # canonicalized back by Pose
-        ps = PoseSet((p, flipped, p), ("direct",) * 3)
+        ps = direct_set(p, flipped, p)
         avg = average_poses(ps)
         assert rotation_geodesic_angle(avg.q, p.q) < 1e-12
 
     def test_order_invariance(self):
         rng = np.random.default_rng(15)
         poses = [random_pose(rng) for _ in range(6)]
-        fwd = average_poses(PoseSet(tuple(poses), ("direct",) * 6))
-        rev = average_poses(PoseSet(tuple(reversed(poses)), ("direct",) * 6))
+        fwd = average_poses(direct_set(*poses))
+        rev = average_poses(direct_set(*reversed(poses)))
         assert rotation_geodesic_angle(fwd.q, rev.q) < 1e-9
         np.testing.assert_allclose(fwd.t, rev.t, atol=1e-12)
 
     def test_empty_raises(self):
         with pytest.raises(EmptySet):
-            average_poses(PoseSet((), ()))
+            average_poses(direct_set())
