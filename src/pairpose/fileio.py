@@ -10,9 +10,11 @@ and read than decimal text.  Formats:
 * pose.v1 JSON {"format", "q": [w,x,y,z], "t": [x,y,z]}, pose sets as JSON
   arrays of the same plus "provenance";
 * matrix.v1: "rows cols" header line, then one whitespace row per line;
-* checkpoint.v2 JSON: flat config + named tensors, each tensor's "data" the
+* checkpoint.v3 JSON: flat config + named tensors, each tensor's "data" the
   base64 of its C-order little-endian float64 bytes; shapes validated on load
-  (checkpoint.v1, decimal values, is rejected);
+  (checkpoint.v1, decimal values, and checkpoint.v2, whose config still has
+  the keys ``scene_scalar_channel`` and ``attention_input_gain``, are
+  rejected);
 * corr.v1 JSON: correspondence sets (source/target positions + normals);
 * dataset.v1: a directory of scene PLYs plus a manifest.
 """
@@ -284,6 +286,12 @@ def read_correspondences(path) -> CorrespondenceSet:
     obj = _load_json(path)
     if not isinstance(obj, dict) or obj.get("format") != "corr.v1":
         raise SchemaViolation(f"{path}: expected corr.v1")
+    for side in ("source", "target"):
+        rows = obj.get(side)
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and all(type(v) in (int, float) for v in row)
+                for row in rows)):
+            raise SchemaViolation(f"{path}: {side} must be rows of numbers")
     try:
         src = np.asarray(obj["source"], dtype=np.float64)
         tgt = np.asarray(obj["target"], dtype=np.float64)
@@ -329,10 +337,22 @@ class Config(NetConfig, _DataConfig):
     below: ``_DataConfig`` comes after ``NetConfig`` in the bases because
     dataclasses collect fields from the last base first.  This order is the
     order of the keys in a checkpoint's config and in ``write_config``.
-    Constructing a Config validates it (``NetConfig.__post_init__``)."""
+    Constructing a Config validates it: ``NetConfig.__post_init__``, then
+    every float finite and a 3-number viewpoint."""
 
     auc_max_threshold: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in (v if isinstance(v, tuple) else (v,))):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
+        if len(self.viewpoint) != 3:
+            raise ValueError(f"viewpoint must be 3 numbers, got "
+                             f"{len(self.viewpoint)}")
 
     def net_config(self) -> NetConfig:
         return NetConfig(**{f.name: getattr(self, f.name)
@@ -404,7 +424,7 @@ def load_config(path=None, overrides=()) -> Config:
     result is validated by constructing it and its data specs."""
     cfg = Config()
     if path is not None:
-        with open(path) as fh:
+        with _text_file(path) as fh:
             cfg = parse_config(fh.read(), cfg)
     if overrides:
         cfg = parse_config("\n".join(overrides), cfg)
@@ -476,13 +496,13 @@ def _config_from_obj(obj, path) -> Config:
 
 
 def write_checkpoint(path, params: dict, cfg: Config, n_points: int):
-    """Write checkpoint.v2, byte for byte what ``json.dump`` of the whole
+    """Write checkpoint.v3, byte for byte what ``json.dump`` of the whole
     object would write.  Each tensor's ``data`` is the base64 of its C-order
     little-endian float64 bytes.  The header and then each tensor entry go
     through ``json.dumps`` (the C encoder; ``json.dump`` runs the pure-Python
     one), one tensor at a time so only one tensor's encoding exists at once."""
     header = json.dumps({
-        "format": "checkpoint.v2",
+        "format": "checkpoint.v3",
         "n_points": n_points,
         "config": _config_to_obj(cfg),
     })
@@ -527,14 +547,15 @@ def _decode_tensor(obj, path):
 
 
 def read_checkpoint(path):
-    """Load (params, config, n_points) from checkpoint.v2; tensor names and
+    """Load (params, config, n_points) from checkpoint.v3; tensor names and
     shapes must match what the stored config implies."""
     obj = _load_json(path, object_hook=lambda o: _decode_tensor(o, path))
-    if isinstance(obj, dict) and obj.get("format") == "checkpoint.v1":
-        raise SchemaViolation(f"{path}: checkpoint.v1 is no longer read; "
-                              f"retrain the model to write checkpoint.v2")
-    if not isinstance(obj, dict) or obj.get("format") != "checkpoint.v2":
-        raise SchemaViolation(f"{path}: expected checkpoint.v2")
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if fmt in ("checkpoint.v1", "checkpoint.v2"):
+        raise SchemaViolation(f"{path}: {fmt} is no longer read; "
+                              f"retrain the model to write checkpoint.v3")
+    if fmt != "checkpoint.v3":
+        raise SchemaViolation(f"{path}: expected checkpoint.v3")
     cfg = _config_from_obj(obj.get("config", {}), path)
     n_points = obj.get("n_points")
     if type(n_points) is not int or n_points < 1:
@@ -649,12 +670,11 @@ def load_dataset(in_dir) -> Dataset:
 
     path = os.path.join(in_dir, "manifest.json")
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = _load_json(path)
+    except OSError as exc:
         raise SchemaViolation(f"{path}: {exc}")
-    if manifest.get("format") != "dataset.v1":
-        raise SchemaViolation(f"{path}: expected dataset.v1")
+    if not isinstance(manifest, dict) or manifest.get("format") != "dataset.v1":
+        raise SchemaViolation(f"{path}: expected a dataset.v1 JSON object")
     try:
         shape = ShapeSpec(manifest["shape"]["kind"],
                           tuple(manifest["shape"]["dims"]),
@@ -680,5 +700,5 @@ def load_dataset(in_dir) -> Dataset:
                        test_indices=tuple(test_idx),
                        symmetric=bool(manifest["symmetric"]),
                        shape_spec=shape, scene_spec=scene_spec)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OSError) as exc:
         raise SchemaViolation(f"{path}: {exc}")

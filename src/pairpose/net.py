@@ -50,7 +50,6 @@ class NetConfig:
     # branch feature extractors
     feat_widths: tuple = (64, 128, 256)
     feat_global_width: int = 256
-    scene_scalar_channel: str = "support"   # "none" | "support" (p . n)
     # heads
     decode_width: int = 256
     head_hidden: tuple = (256, 128)
@@ -59,10 +58,6 @@ class NetConfig:
     attention_for_match: bool = True
     attention_for_direct: bool = True
     ppf_supervision: bool = True
-    # gain on the attention rows fed to the heads; row-stochastic entries are
-    # O(1/N), so a gain <= 0 (the default 0) scales by the point count to
-    # condition them to O(1)
-    attention_input_gain: float = 0.0
     # optimizer
     epochs: int = 50
     lr: float = 1e-3
@@ -82,9 +77,6 @@ class NetConfig:
             raise ValueError("feat_widths needs at least 1 layer")
         if self.attention_source not in ("psn", "branch"):
             raise ValueError(f"bad attention_source {self.attention_source!r}")
-        if self.scene_scalar_channel not in ("none", "support"):
-            raise ValueError(f"bad scene_scalar_channel "
-                             f"{self.scene_scalar_channel!r}")
         if any(p < 0 for p in self.phi):
             raise ValueError("phi must be 4 non-negative weights")
         if self.epsilon < 0:
@@ -140,7 +132,7 @@ def _psn_layer_dims(cfg: NetConfig):
 
 
 def _feat_layer_dims(cfg: NetConfig, scene_side: bool):
-    in_w = 6 + (1 if scene_side and cfg.scene_scalar_channel == "support" else 0)
+    in_w = 7 if scene_side else 6   # the scene side adds the p . n column
     dims = []
     for w in cfg.feat_widths:
         dims.append((in_w, w))
@@ -301,28 +293,25 @@ def _regressor_trunk(f, decoded, attn_rows, exterior, params, prefix,
     return h
 
 
-def _head_attention(attn, cfg: NetConfig):
-    """Condition attention rows for head input: remove the uniform baseline
-    (1/N, which carries no information) and rescale the deviations to O(1).
-    An uninformative map then contributes ~zero instead of a large constant
-    block, so heads only start consuming attention once it sharpens."""
-    if attn is None:
-        return None
+def head_attention_input(attn: np.ndarray) -> ad.Tensor:
+    """The attention map as the heads read it, (A - 1/N) * N, as a plain
+    (graph-free) tensor.  The uniform baseline 1/N carries no information and
+    the deviations of row-stochastic entries are O(1/N); an uninformative map
+    then contributes ~zero instead of a large constant block, so heads only
+    start consuming attention once it sharpens."""
     n = attn.shape[1]
-    gain = cfg.attention_input_gain
-    if gain <= 0:
-        gain = float(n)
-    centered = ad.add(attn, ad.Tensor(np.full(attn.shape, -1.0 / n)))
-    return ad.scalar_scale(centered, gain) if gain != 1.0 else centered
+    return ad.Tensor(float(n) * (attn + (-1.0 / n)))
 
 
-def bidirectional_forward(f_s, f_m, attn, params, cfg: NetConfig):
-    """Both correspondence heads with inter-branch pooled-decode exchange."""
+def bidirectional_forward(f_s, f_m, head_attn, params, cfg: NetConfig):
+    """Both correspondence heads with inter-branch pooled-decode exchange;
+    the scene head reads the rows of ``head_attn`` (see
+    ``head_attention_input``), the model head its columns."""
     dec_s = ad.relu(_dense(f_s, params, "corr_s.dec"))
     dec_m = ad.relu(_dense(f_m, params, "corr_m.dec"))
-    attn_s = _head_attention(attn, cfg) if cfg.attention_for_match else None
-    attn_m = (_head_attention(ad.transpose(attn), cfg)
-              if cfg.attention_for_match else None)
+    attn_s = attn_m = None
+    if cfg.attention_for_match:
+        attn_s, attn_m = head_attn, ad.transpose(head_attn)
     h_s = _regressor_trunk(f_s, dec_s, attn_s, ad.mean_pool_rows(dec_m),
                            params, "corr_s", cfg)
     h_m = _regressor_trunk(f_m, dec_m, attn_m, ad.mean_pool_rows(dec_s),
@@ -334,13 +323,13 @@ def bidirectional_forward(f_s, f_m, attn, params, cfg: NetConfig):
     return (pos_s, nrm_s), (pos_m, nrm_m)
 
 
-def direct_pose_forward(f_s, attn, params, cfg: NetConfig):
+def direct_pose_forward(f_s, head_attn, params, cfg: NetConfig):
     """Per-point pose candidates: unit quaternion rows + translation rows."""
-    if cfg.attention_for_direct and attn is None:
+    if cfg.attention_for_direct and head_attn is None:
         raise ValueError("config wants attention for the direct branch but "
                          "no attention map was computed")
     decoded = ad.relu(_dense(f_s, params, "direct.dec"))
-    attn_rows = _head_attention(attn, cfg) if cfg.attention_for_direct else None
+    attn_rows = head_attn if cfg.attention_for_direct else None
     h = _regressor_trunk(f_s, decoded, attn_rows, None, params, "direct", cfg)
     quats = ad.row_l2_normalize(_dense(h, params, "direct.quat"))
     trans = _dense(h, params, "direct.trans")
@@ -395,20 +384,11 @@ def total_loss(l_d, l_s, l_m, l_attention, phi):
 # scene preparation and the full forward pass
 # ---------------------------------------------------------------------------
 
-def _scene_inputs(scene: OrientedPointCloud, cfg: NetConfig):
-    center = scene.positions.mean(axis=0)
-    pos = scene.positions - center
-    cols = [pos, scene.normals]
-    if cfg.scene_scalar_channel == "support":
-        cols.append(np.sum(pos * scene.normals, axis=1, keepdims=True))
-    return center, ad.Tensor(np.hstack(cols)), ad.Tensor(np.hstack([pos, scene.normals]))
-
-
 @dataclass
 class SceneInputs:
     """Network inputs for one scene; none of them depends on the pose."""
 
-    xs_feat: ad.Tensor      # scene input for the branch extractor
+    xs_feat: ad.Tensor      # scene input [P | N | p . n] for the extractor
     xs_psn: ad.Tensor       # scene input for the PSN (always 6 columns)
     xm: ad.Tensor           # model input [P_m | N_m] for both extractors
     center: np.ndarray
@@ -433,14 +413,20 @@ class PreparedScene(SceneInputs):
     w_target: ad.Tensor | None    # PPF attention target, if supervised
 
 
-def scene_inputs(scene: OrientedPointCloud, model: OrientedPointCloud,
-                 cfg: NetConfig) -> SceneInputs:
-    """The network inputs of one scene, all that a forward pass reads."""
+def scene_inputs(scene: OrientedPointCloud,
+                 model: OrientedPointCloud) -> SceneInputs:
+    """The network inputs of one scene, all that a forward pass reads; the
+    scene cloud is centered on its centroid."""
     if len(scene) != len(model):
         raise SizeMismatch(f"scene {len(scene)} vs model {len(model)} points")
-    center, xs_feat, xs_psn = _scene_inputs(scene, cfg)
-    xm = ad.Tensor(np.hstack([model.positions, model.normals]))
-    return SceneInputs(xs_feat=xs_feat, xs_psn=xs_psn, xm=xm, center=center)
+    center = scene.positions.mean(axis=0)
+    pos = scene.positions - center
+    support = np.sum(pos * scene.normals, axis=1, keepdims=True)
+    return SceneInputs(
+        xs_feat=ad.Tensor(np.hstack([pos, scene.normals, support])),
+        xs_psn=ad.Tensor(np.hstack([pos, scene.normals])),
+        xm=ad.Tensor(np.hstack([model.positions, model.normals])),
+        center=center)
 
 
 def correspondence_targets(scene: OrientedPointCloud, model: OrientedPointCloud,
@@ -462,7 +448,7 @@ def prepare_scene(scene: OrientedPointCloud, model: OrientedPointCloud,
     """A training scene: its inputs, its correspondence targets (the model
     branch's targets are also the pose loss's), and the PPF attention target
     when ``cfg.ppf_supervision`` asks for it."""
-    inputs = scene_inputs(scene, model, cfg)
+    inputs = scene_inputs(scene, model)
     targets = correspondence_targets(scene, model, gt, inputs.center)
     w = None
     if cfg.ppf_supervision:
@@ -476,8 +462,8 @@ def forward_all(prep: SceneInputs, params: dict, cfg: NetConfig,
     """Run every active branch on a scene's inputs (a ``PreparedScene`` is
     one too); returns a dict of output tensors.
 
-    ``frozen_head_attention`` substitutes a constant array for the heads'
-    attention input (used by finite-difference checks, where the detached
+    ``frozen_head_attention`` substitutes a constant map for the one the
+    heads read (used by finite-difference checks, where the detached
     channel must not vary with the parameters being perturbed).
     """
     out = {}
@@ -490,12 +476,14 @@ def forward_all(prep: SceneInputs, params: dict, cfg: NetConfig,
             f_sa = ad.row_l2_normalize(f_s)
             f_ma = ad.row_l2_normalize(f_m)
         attn = attention_forward(f_sa, f_ma)
+        out["f_sa"], out["f_ma"] = f_sa, f_ma
+    if cfg.attention_for_match or cfg.attention_for_direct:
         # heads consume the map as a detached input: task gradients would
         # otherwise repurpose the similarity network as free features and
         # destroy the matching structure the pair-weight supervision builds
-        head_attn = (ad.Tensor(frozen_head_attention)
-                     if frozen_head_attention is not None else attn.detach())
-        out["f_sa"], out["f_ma"] = f_sa, f_ma
+        head_attn = head_attention_input(
+            attn.values if frozen_head_attention is None
+            else frozen_head_attention)
     (pos_s, nrm_s), (pos_m, nrm_m) = bidirectional_forward(f_s, f_m, head_attn,
                                                            params, cfg)
     quats, trans = direct_pose_forward(f_s, head_attn, params, cfg)
@@ -608,7 +596,7 @@ def predict(params: dict, cfg: NetConfig, scene: OrientedPointCloud,
     PPF target is involved), both pair-alignment pose sets, the direct
     candidates, and their average."""
     frozen = detach_params(params)
-    inputs = scene_inputs(scene, model, cfg)
+    inputs = scene_inputs(scene, model)
     outputs = forward_all(inputs, frozen, cfg)
 
     scene_match_pos = outputs["scene_pos"].values
@@ -683,7 +671,7 @@ def attention_match_rate(params: dict, cfg: NetConfig,
     rates = []
     for g in poses:
         scene = pose_apply(g, model, frame="scene")
-        outputs = forward_all(scene_inputs(scene, model, cfg), frozen, cfg)
+        outputs = forward_all(scene_inputs(scene, model), frozen, cfg)
         m = outputs["attention"]
         if m is None:
             raise ValueError("config computes no attention map")

@@ -325,6 +325,33 @@ class TestTrainEvalCommands:
         assert json.loads(err[0])["error"] == "SchemaViolation"
 
 
+    def test_train_rejects_manifest_that_is_not_an_object(self, tmp_path,
+                                                          toy_config, capsys):
+        manifest = tmp_path / "ds" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text("[]\n")
+        rc = main(["train", "--dataset", str(tmp_path / "ds"),
+                   "--out", str(tmp_path / "run"), "--config", toy_config])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])
+        assert error["error"] == "SchemaViolation"
+        assert str(manifest) in error["message"]
+
+    @pytest.mark.parametrize("override", ["noise_sigma=nan", "viewpoint=1,2"])
+    def test_synth_rejects_non_finite_or_misshapen_data_value(
+            self, tmp_path, toy_config, capsys, override):
+        rc = main(["synth", "--out", str(tmp_path / "ds"), "--config",
+                   toy_config, "--set", override])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])
+        assert error["error"] == "SchemaViolation"
+        assert error["message"].startswith("invalid configuration")
+        assert not os.path.exists(tmp_path / "ds")
+
     def test_train_rejects_negative_epochs(self, tmp_path, toy_config,
                                            capsys):
         rc = main(["train", "--dataset", str(tmp_path / "ds"),

@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -227,6 +228,13 @@ class TestConfig:
         with pytest.raises(SchemaViolation, match="invalid configuration"):
             fileio.load_config(overrides=[override])
 
+    @pytest.mark.parametrize("override", [
+        "noise_sigma=nan", "lr=inf", "translation_low=-inf,0,0",
+        "viewpoint=1,2", "viewpoint="])
+    def test_non_finite_or_misshapen_data_value_rejected(self, override):
+        with pytest.raises(SchemaViolation, match="invalid configuration"):
+            fileio.load_config(overrides=[override])
+
     def test_zero_gammas_accepted_without_ppf_supervision(self):
         cfg = fileio.load_config(overrides=[
             "ppf_supervision=false", "gamma1=0", "gamma2=0", "gamma3=0"])
@@ -241,11 +249,10 @@ class TestConfig:
             "viewpoint", "gamma1", "gamma2", "gamma3", "phi1", "phi2", "phi3",
             "phi4", "epsilon", "psn_trunk", "psn_exterior_width",
             "psn_out_width", "feat_widths", "feat_global_width",
-            "scene_scalar_channel", "decode_width", "head_hidden",
-            "attention_source", "attention_for_match", "attention_for_direct",
-            "ppf_supervision", "attention_input_gain", "epochs", "lr",
-            "lr_decay", "beta1", "beta2", "adam_eps", "num_pairs",
-            "auc_max_threshold", "seed"]
+            "decode_width", "head_hidden", "attention_source",
+            "attention_for_match", "attention_for_direct", "ppf_supervision",
+            "epochs", "lr", "lr_decay", "beta1", "beta2", "adam_eps",
+            "num_pairs", "auc_max_threshold", "seed"]
 
     def test_default_net_config_is_default_netconfig(self):
         assert fileio.Config().net_config() == NetConfig()
@@ -261,7 +268,7 @@ def b64_float64(values) -> str:
 
 
 def tiny_checkpoint(tmp_path, seed, n=5):
-    """A valid checkpoint.v2 file of the tiny network and its parsed JSON."""
+    """A valid checkpoint.v3 file of the tiny network and its parsed JSON."""
     cfg = fileio.parse_config(TINY_NET)
     params = init_params(cfg.net_config(), n, np.random.default_rng(seed))
     path = tmp_path / "ckpt.json"
@@ -389,6 +396,15 @@ class TestCheckpoint:
         with pytest.raises(SchemaViolation, match="checkpoint.v1"):
             fileio.read_checkpoint(path)
 
+    def test_v2_checkpoint_rejected(self, tmp_path):
+        path, obj = tiny_checkpoint(tmp_path, 14)
+        obj["format"] = "checkpoint.v2"
+        obj["config"].update(scene_scalar_channel="support",
+                             attention_input_gain=0.0)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaViolation, match="checkpoint.v2.*retrain"):
+            fileio.read_checkpoint(path)
+
     @pytest.mark.parametrize("n", [3, 17])
     def test_bytes_equal_json_dump_of_whole_object(self, tmp_path, n):
         cfg = fileio.parse_config(TINY_NET)
@@ -397,7 +413,7 @@ class TestCheckpoint:
         fileio.write_checkpoint(path, params, cfg, n)
         # the writer's original form: one json.dump of the whole object
         obj = {
-            "format": "checkpoint.v2",
+            "format": "checkpoint.v3",
             "n_points": n,
             "config": {f: list(v) if isinstance(v, tuple) else v
                        for f, v in vars(cfg).items()},
@@ -524,6 +540,10 @@ class TestTextReadersNameTheFile:
         (fileio.read_pose, '{"format": '),
         (fileio.read_pose_set, "[{"),
         (fileio.read_correspondences, "corr.v1"),
+        (fileio.read_correspondences, json.dumps({
+            "format": "corr.v1", "direction": "model_to_scene",
+            "source": [[True, 0, 0, 0, 0, 1]],
+            "target": [[0, 0, 0, 0, 0, 1]]})),
         (fileio.read_pose_set, json.dumps([{"format": "pose.v1",
                                             "q": [1, 0, 0, 0], "t": [0, 0, 0],
                                             "provenance": "bogus"}])),
@@ -542,6 +562,7 @@ class TestTextReadersNameTheFile:
         (fileio.read_ply, PLY_HEADER.replace("vertex 1", "vertex 0")),
         (fileio.read_ply, PLY_HEADER + "0 0 0\xe9 0 0 1\n"),
     ], ids=["pose_not_json", "pose_set_not_json", "corr_not_json",
+            "corr_boolean_coordinate",
             "pose_set_unknown_tag", "pose_norm_overflows", "corr_int_overflow",
             "matrix_non_numeric", "matrix_negative_header",
             "ply_vertex_count_not_a_number", "ply_non_numeric_row",
@@ -596,3 +617,118 @@ class TestDatasetDir:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SchemaViolation):
             fileio.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("content", [b"[]", b"null", b'"dataset.v1"',
+                                         b'{"format": "\xff"}'],
+                             ids=["array", "null", "string", "not_utf8"])
+    def test_manifest_that_is_not_a_json_object_rejected(self, tmp_path,
+                                                         content):
+        (tmp_path / "manifest.json").write_bytes(content)
+        with pytest.raises(SchemaViolation, match="manifest.json"):
+            fileio.load_dataset(tmp_path)
+
+
+def small_dataset_dir(path):
+    """A valid two-scene dataset directory of 16-point clouds and its
+    manifest bytes."""
+    ds = make_dataset(ShapeSpec("box_with_bump", n=16, seed=5), 2,
+                      SceneSpec(rotation="limited", max_angle=0.5,
+                                viewpoint=(1.0, 1.0, 1.0),
+                                translation=((-0.05,) * 3, (0.05,) * 3)),
+                      seed=6, train_fraction=0.5)
+    fileio.save_dataset(path, ds, seed=6)
+    return (path / "manifest.json").read_bytes()
+
+
+def _nested_fields(obj):
+    """(container, key) of every field of a parsed JSON value, at any depth."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    found = []
+    for key, value in items:
+        found.append((obj, key))
+        if isinstance(value, (dict, list)):
+            found.extend(_nested_fields(value))
+    return found
+
+
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _config_text(default):
+    """Text for a config value: mostly of the default's type, with the
+    non-finite floats drawn often, sometimes arbitrary."""
+    if isinstance(default, bool):
+        typed = st.sampled_from(["true", "false"])
+    elif isinstance(default, int):
+        typed = st.integers(-2, 300).map(str)
+    elif isinstance(default, float):
+        typed = FLOATS.map(repr)
+    elif isinstance(default, tuple):
+        element = (st.integers(-1, 64) if isinstance(default[0], int)
+                   else st.floats(-1, 1) | FLOATS)
+        typed = st.lists(element, max_size=5).map(
+            lambda v: ",".join(map(repr, v)))
+    else:
+        typed = st.sampled_from([default, "psn", "branch", "full", "limited",
+                                 "box", "sphere", "cylinder", ""])
+    return typed | st.text(max_size=8)
+
+
+# key=value lines of known keys; unknown keys and lines without '=' come from
+# the byte damage of the config-file test
+CONFIG_LINES = st.sampled_from(fields(fileio.Config)).flatmap(
+    lambda f: _config_text(f.default).map(lambda v: f"{f.name}={v}"))
+
+
+class TestConfigAndManifestFuzz:
+    """``load_config`` on fuzzed key=value text and --set overrides, and
+    ``load_dataset`` on a damaged manifest, return or raise a PairposeError;
+    nothing else escapes."""
+
+    @FUZZ
+    @given(data=st.data())
+    def test_config_file(self, tmp_path, data):
+        path = tmp_path / "cfg.txt"
+        text = "\n".join(data.draw(st.lists(CONFIG_LINES, min_size=1,
+                                             max_size=6)))
+        path.write_bytes(damaged(data, text.encode()))
+        try:
+            fileio.load_config(path)
+        except PairposeError:
+            pass
+
+    @FUZZ
+    @given(overrides=st.lists(CONFIG_LINES, max_size=4))
+    def test_set_overrides(self, tmp_path, overrides):
+        # a config that loads also survives write_config and a reload
+        try:
+            cfg = fileio.load_config(overrides=overrides)
+        except PairposeError:
+            return
+        fileio.write_config(tmp_path / "cfg.txt", cfg)
+        assert fileio.load_config(tmp_path / "cfg.txt") == cfg
+
+    @FUZZ
+    @given(data=st.data())
+    def test_manifest_truncations_and_byte_substitutions(self, tmp_path, data):
+        manifest = small_dataset_dir(tmp_path)
+        (tmp_path / "manifest.json").write_bytes(damaged(data, manifest))
+        try:
+            fileio.load_dataset(tmp_path)
+        except PairposeError:
+            pass
+
+    @FUZZ
+    @given(data=st.data())
+    def test_manifest_field_deletions_and_type_changes(self, tmp_path, data):
+        obj = json.loads(small_dataset_dir(tmp_path))
+        container, key = data.draw(st.sampled_from(_nested_fields(obj)))
+        if data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(JSON_VALUES)
+        (tmp_path / "manifest.json").write_text(json.dumps(obj))
+        try:
+            fileio.load_dataset(tmp_path)
+        except PairposeError:
+            pass

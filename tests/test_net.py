@@ -37,8 +37,8 @@ def tiny_dataset(n_scenes=4, n=32, seed=0, kind="box_with_bump",
                         train_fraction=train_fraction)
 
 
-def scene_tensors(cloud, cfg=TINY):
-    return net.scene_inputs(cloud, cloud, cfg)
+def scene_tensors(cloud):
+    return net.scene_inputs(cloud, cloud)
 
 
 class TestPsn:
@@ -186,12 +186,13 @@ class TestHeads:
 
     def test_one_hot_attention_regressor_overfits(self):
         # with one-hot attention rows at the true matches, the scene head can
-        # learn a lookup from row index to canonical coordinates; a gain of 1
-        # feeds it the centred one-hot rows without the N-fold scaling
+        # learn a lookup from row index to canonical coordinates; the heads
+        # get the centred one-hot rows without the N-fold scaling of
+        # net.head_attention_input
         rng = np.random.default_rng(21)
         cloud = make_cloud(rng, 20, frame="model")
         diameter = model_diameter(cloud)
-        one_hot = ad.Tensor(np.eye(20))
+        one_hot = ad.Tensor(np.eye(20) + (-1.0 / 20))
         feat = ad.Tensor(np.hstack([cloud.positions, cloud.normals,
                                     np.zeros((20, 14))]))  # fixed features
         target_pos = ad.Tensor(cloud.positions)
@@ -199,8 +200,7 @@ class TestHeads:
         cfg = net.NetConfig(
             psn_trunk=(8, 12), psn_exterior_width=4, psn_out_width=8,
             feat_widths=(8, 12), feat_global_width=8,
-            decode_width=12, head_hidden=(48,), epochs=1,
-            attention_input_gain=1.0)
+            decode_width=12, head_hidden=(48,), epochs=1)
         rng_p = np.random.default_rng(22)
         params = {}
         shapes = net.expected_param_shapes(cfg, 20)
