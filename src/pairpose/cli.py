@@ -86,10 +86,9 @@ def cmd_eval(args) -> int:
     records, diag = net.evaluate_dataset(params, ckpt_cfg.net_config(), dataset,
                                          which=args.split, seed=args_cfg.seed)
     name = dataset.shape_spec.kind
-    fileio.write_metrics_csv(
-        args.out + ".csv",
-        [fileio.metrics_csv_row(name, records, args_cfg.auc_max_threshold)])
-    report = summarize(records, args_cfg.auc_max_threshold)
+    fileio.write_metrics_csv(args.out + ".csv",
+                             [fileio.metrics_csv_row(name, records)])
+    report = summarize(records)
     obj = {
         "format": "metrics.v1",
         "object": name,
@@ -122,8 +121,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    suites = run_op_grad_suites(instances=args.instances, seed=args.seed or 0)
-    e2e = run_end_to_end_grad_check(seed=args.seed or 0)
+    cfg = _load_config(args)
+    suites = run_op_grad_suites(instances=args.instances, seed=cfg.seed)
+    e2e = run_end_to_end_grad_check(seed=cfg.seed)
     for name, err in sorted(suites["per_op"].items()):
         status = "pass" if err < suites["tol"] else "FAIL"
         print(f"{name:24s} {err:.3e}  {status}")
@@ -165,7 +165,7 @@ ABLATION_GRIDS = {
 }
 
 
-def _ablation_flags(grid, overrides, cfg) -> str:
+def _ablation_flags(grid, cfg) -> str:
     if grid == "attention":
         return f"{int(cfg.attention_for_direct)},{int(cfg.attention_for_match)}"
     if grid == "psn":
@@ -186,11 +186,9 @@ def cmd_ablate(args) -> int:
         params, _ = net.train(dataset, cfg.net_config(), seed=cfg.seed)
         records, diag = net.evaluate_dataset(params, cfg.net_config(), dataset,
                                              which="test", seed=cfg.seed)
-        row = fileio.metrics_csv_row("cell", records, base.auc_max_threshold)
-        metrics_part = row.split(",", 1)[1]  # drop the object column
-        lines.append(f"{_ablation_flags(args.grid, overrides, cfg)},"
-                     f"{metrics_part.rsplit(',', 1)[0]},"
-                     f"{repr(diag['corr_l1'])},{len(records)}")
+        lines.append(",".join([_ablation_flags(args.grid, cfg),
+                               *fileio.metric_columns(records),
+                               repr(diag["corr_l1"]), str(len(records))]))
         print(f"cell {overrides or 'full'}: done")
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -10,13 +10,16 @@ and read than decimal text.  Formats:
 * pose.v1 JSON {"format", "q": [w,x,y,z], "t": [x,y,z]}, pose sets as JSON
   arrays of the same plus "provenance";
 * matrix.v1: "rows cols" header line, then one whitespace row per line;
-* checkpoint.v3 JSON: flat config + named tensors, each tensor's "data" the
+* checkpoint.v4 JSON: flat config + named tensors, each tensor's "data" the
   base64 of its C-order little-endian float64 bytes; shapes validated on load
-  (checkpoint.v1, decimal values, and checkpoint.v2, whose config still has
-  the keys ``scene_scalar_channel`` and ``attention_input_gain``, are
-  rejected);
+  (checkpoint.v1, decimal values, and checkpoints v2 and v3, whose configs
+  hold keys that are now constants, are rejected);
 * corr.v1 JSON: correspondence sets (source/target positions + normals);
 * dataset.v1: a directory of scene PLYs plus a manifest.
+
+A ``Config`` (flat key=value lines) validates itself when it is constructed,
+so a config file, ``--set``, ``replace`` and a checkpoint's config are all
+checked the same way.
 """
 
 from __future__ import annotations
@@ -316,7 +319,6 @@ class _DataConfig:
     n: int = 1000
     shape_kind: str = "box_with_bump"
     shape_dims: tuple = (0.08, 0.1, 0.12, 0.02)
-    shape_seed: int = 0
     scenes: int = 96
     train_fraction: float = 0.8
     rotation: str = "full"
@@ -331,16 +333,15 @@ class _DataConfig:
 @dataclass(frozen=True)
 class Config(NetConfig, _DataConfig):
     """Every tunable, flat; defaults are the published hyperparameters
-    (N = 1000, gammas 100/50/50, phi 1:1:1:0.01, 50 epochs).
+    (N = 1000, gammas 100/50/50, 50 epochs).
 
-    The keys are the data keys, then every ``NetConfig`` field, then the two
-    below: ``_DataConfig`` comes after ``NetConfig`` in the bases because
+    The keys are the data keys, then every ``NetConfig`` field, then
+    ``seed``: ``_DataConfig`` comes after ``NetConfig`` in the bases because
     dataclasses collect fields from the last base first.  This order is the
     order of the keys in a checkpoint's config and in ``write_config``.
-    Constructing a Config validates it: ``NetConfig.__post_init__``, then
-    every float finite and a 3-number viewpoint."""
+    Constructing a Config validates it: ``NetConfig.__post_init__``, every
+    float finite, then the ShapeSpec and SceneSpec it describes."""
 
-    auc_max_threshold: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -350,17 +351,15 @@ class Config(NetConfig, _DataConfig):
             if any(isinstance(x, float) and not math.isfinite(x)
                    for x in (v if isinstance(v, tuple) else (v,))):
                 raise ValueError(f"{f.name} must be finite, got {v!r}")
-        if len(self.viewpoint) != 3:
-            raise ValueError(f"viewpoint must be 3 numbers, got "
-                             f"{len(self.viewpoint)}")
+        self.shape_spec()
+        self.scene_spec()
 
     def net_config(self) -> NetConfig:
         return NetConfig(**{f.name: getattr(self, f.name)
                             for f in fields(NetConfig)})
 
     def shape_spec(self) -> ShapeSpec:
-        return ShapeSpec(self.shape_kind, tuple(self.shape_dims), self.n,
-                         self.shape_seed)
+        return ShapeSpec(self.shape_kind, tuple(self.shape_dims), self.n)
 
     def scene_spec(self) -> SceneSpec:
         return SceneSpec(
@@ -393,26 +392,29 @@ def _parse_value(raw: str, default):
     return raw
 
 
-def parse_config(text: str, base: Config | None = None) -> Config:
-    """Parse flat key=value lines; '#' starts a comment, unknown keys fail."""
+def parse_config(text: str, base: Config | None = None,
+                 source: str = "config") -> Config:
+    """Parse flat key=value lines; '#' starts a comment, unknown keys fail.
+    ``source`` names the text (a file path, or ``--set``) in error
+    messages."""
     cfg = base if base is not None else Config()
     known = {f.name: getattr(cfg, f.name) for f in fields(Config)}
     updates = {}
     for lineno, line in enumerate(text.splitlines(), 1):
+        where = f"{source}, line {lineno}"
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise SchemaViolation(f"line {lineno}: expected key=value, "
-                                  f"got {line!r}")
+            raise SchemaViolation(f"{where}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
         if key not in known:
-            raise SchemaViolation(f"line {lineno}: unknown config key {key!r}")
+            raise SchemaViolation(f"{where}: unknown config key {key!r}")
         try:
             updates[key] = _parse_value(raw, known[key])
         except ValueError as exc:
-            raise SchemaViolation(f"line {lineno}: bad value for {key}: {exc}")
+            raise SchemaViolation(f"{where}: bad value for {key}: {exc}")
     try:
         return replace(cfg, **updates)
     except ValueError as exc:
@@ -420,19 +422,14 @@ def parse_config(text: str, base: Config | None = None) -> Config:
 
 
 def load_config(path=None, overrides=()) -> Config:
-    """Config from an optional file plus 'key=value' override strings; the
-    result is validated by constructing it and its data specs."""
+    """Config from an optional file plus 'key=value' override strings, one
+    per ``--set``."""
     cfg = Config()
     if path is not None:
         with _text_file(path) as fh:
-            cfg = parse_config(fh.read(), cfg)
+            cfg = parse_config(fh.read(), cfg, source=str(path))
     if overrides:
-        cfg = parse_config("\n".join(overrides), cfg)
-    try:
-        cfg.shape_spec()
-        cfg.scene_spec()
-    except ValueError as exc:
-        raise SchemaViolation(f"invalid configuration: {exc}")
+        cfg = parse_config("\n".join(overrides), cfg, source="--set")
     return cfg
 
 
@@ -496,13 +493,13 @@ def _config_from_obj(obj, path) -> Config:
 
 
 def write_checkpoint(path, params: dict, cfg: Config, n_points: int):
-    """Write checkpoint.v3, byte for byte what ``json.dump`` of the whole
+    """Write checkpoint.v4, byte for byte what ``json.dump`` of the whole
     object would write.  Each tensor's ``data`` is the base64 of its C-order
     little-endian float64 bytes.  The header and then each tensor entry go
     through ``json.dumps`` (the C encoder; ``json.dump`` runs the pure-Python
     one), one tensor at a time so only one tensor's encoding exists at once."""
     header = json.dumps({
-        "format": "checkpoint.v3",
+        "format": "checkpoint.v4",
         "n_points": n_points,
         "config": _config_to_obj(cfg),
     })
@@ -547,15 +544,15 @@ def _decode_tensor(obj, path):
 
 
 def read_checkpoint(path):
-    """Load (params, config, n_points) from checkpoint.v3; tensor names and
+    """Load (params, config, n_points) from checkpoint.v4; tensor names and
     shapes must match what the stored config implies."""
     obj = _load_json(path, object_hook=lambda o: _decode_tensor(o, path))
     fmt = obj.get("format") if isinstance(obj, dict) else None
-    if fmt in ("checkpoint.v1", "checkpoint.v2"):
+    if fmt in ("checkpoint.v1", "checkpoint.v2", "checkpoint.v3"):
         raise SchemaViolation(f"{path}: {fmt} is no longer read; "
-                              f"retrain the model to write checkpoint.v3")
-    if fmt != "checkpoint.v3":
-        raise SchemaViolation(f"{path}: expected checkpoint.v3")
+                              f"retrain the model to write checkpoint.v4")
+    if fmt != "checkpoint.v4":
+        raise SchemaViolation(f"{path}: expected checkpoint.v4")
     cfg = _config_from_obj(obj.get("config", {}), path)
     n_points = obj.get("n_points")
     if type(n_points) is not int or n_points < 1:
@@ -606,15 +603,19 @@ def write_loss_csv(path, log):
         fh.write("\n".join(lines) + "\n")
 
 
-def metrics_csv_row(object_name, records, auc_max_threshold=0.1) -> str:
+def metric_columns(records) -> list:
+    """The add_auc, adds_auc, acc_0p1d and acc_2cm columns of a metrics row,
+    formatted."""
     from .metrics import accuracy, auc, threshold_absolute, threshold_relative
 
-    add_auc = auc(records, auc_max_threshold, error_fn=lambda r: r.add_error)
-    adds_auc = auc(records, auc_max_threshold, error_fn=lambda r: r.adds_error)
-    acc_rel = accuracy(records, threshold_relative(0.1))
-    acc_2cm = accuracy(records, threshold_absolute(0.02))
-    return ",".join([object_name, _fmt(add_auc), _fmt(adds_auc),
-                     _fmt(acc_rel), _fmt(acc_2cm), str(len(records))])
+    return [_fmt(auc(records, error_fn=lambda r: r.add_error)),
+            _fmt(auc(records, error_fn=lambda r: r.adds_error)),
+            _fmt(accuracy(records, threshold_relative(0.1))),
+            _fmt(accuracy(records, threshold_absolute(0.02)))]
+
+
+def metrics_csv_row(object_name, records) -> str:
+    return ",".join([object_name, *metric_columns(records), str(len(records))])
 
 
 def write_metrics_csv(path, rows):

@@ -26,23 +26,23 @@ from .solver import CorrespondenceSet, PoseSet, average_poses, poses_from_matche
 from .synth import Dataset
 
 
+# the published loss weights: phi1 L_d + phi2 L_s + phi3 L_m + phi4
+# L_attention, and the normal term's weight inside L_s and L_m
+PHI = (1.0, 1.0, 1.0, 0.01)
+EPSILON = 0.1
+
+
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture, mechanism flags, loss and pair-feature weights, and
-    optimizer settings.  Each field is also the flat ``fileio.Config`` key of
-    the same name; the defaults are the published hyperparameters."""
+    """Architecture, mechanism flags, pair-feature weights, and optimizer
+    settings.  Each field is also the flat ``fileio.Config`` key of the same
+    name; the defaults are the published hyperparameters.  Adam's betas and
+    epsilon are ``autodiff.adam_step``'s defaults."""
 
     # pair-feature weights of the PPF attention target (see ppf.PpfGammas)
     gamma1: float = 100.0
     gamma2: float = 50.0
     gamma3: float = 50.0
-    # loss weights: phi1 L_d + phi2 L_s + phi3 L_m + phi4 L_attention, and
-    # the normal term's weight inside L_s and L_m
-    phi1: float = 1.0
-    phi2: float = 1.0
-    phi3: float = 1.0
-    phi4: float = 0.01
-    epsilon: float = 0.1
     # pseudo-siamese attention network
     psn_trunk: tuple = (64, 128, 256, 512, 1024)
     psn_exterior_width: int = 24
@@ -62,25 +62,22 @@ class NetConfig:
     epochs: int = 50
     lr: float = 1e-3
     lr_decay: float = 1.0           # multiplicative, per epoch
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     # pose fusion at prediction time
     num_pairs: int = 100
 
     def __post_init__(self):
         if len(self.psn_trunk) < 2:
             raise ValueError("psn_trunk needs at least 2 layers")
-        if self.psn_out_width <= 0 or self.psn_exterior_width <= 0:
-            raise ValueError("psn widths must be positive")
         if not self.feat_widths:
             raise ValueError("feat_widths needs at least 1 layer")
+        for name in ("psn_trunk", "psn_exterior_width", "psn_out_width",
+                     "feat_widths", "feat_global_width", "decode_width",
+                     "head_hidden"):
+            v = getattr(self, name)
+            if any(w <= 0 for w in (v if isinstance(v, tuple) else (v,))):
+                raise ValueError(f"{name} must be positive, got {v!r}")
         if self.attention_source not in ("psn", "branch"):
             raise ValueError(f"bad attention_source {self.attention_source!r}")
-        if any(p < 0 for p in self.phi):
-            raise ValueError("phi must be 4 non-negative weights")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
         if any(g < 0 for g in self.gammas):
             raise ValueError("gammas must be non-negative")
         if self.ppf_supervision and not any(self.gammas):
@@ -89,10 +86,6 @@ class NetConfig:
             raise ValueError("epochs must be >= 0")
         if self.num_pairs < 1:
             raise ValueError("num_pairs must be >= 1")
-
-    @property
-    def phi(self) -> tuple:
-        return (self.phi1, self.phi2, self.phi3, self.phi4)
 
     @property
     def gammas(self) -> tuple:
@@ -494,19 +487,18 @@ def forward_all(prep: SceneInputs, params: dict, cfg: NetConfig,
     return out
 
 
-def branch_losses(outputs: dict, targets: CorrespondenceTargets,
-                  epsilon: float):
+def branch_losses(outputs: dict, targets: CorrespondenceTargets):
     """(L_s, L_m): each correspondence head against its targets."""
     l_s = correspondence_loss(outputs["scene_pos"], outputs["scene_nrm"],
-                              targets.scene_pos, targets.scene_nrm, epsilon)
+                              targets.scene_pos, targets.scene_nrm, EPSILON)
     l_m = correspondence_loss(outputs["model_pos"], outputs["model_nrm"],
-                              targets.model_pos, targets.model_nrm, epsilon)
+                              targets.model_pos, targets.model_nrm, EPSILON)
     return l_s, l_m
 
 
 def scene_losses(prep: PreparedScene, outputs: dict, cfg: NetConfig,
                  symmetric: bool, model_points: np.ndarray):
-    l_s, l_m = branch_losses(outputs, prep.targets, cfg.epsilon)
+    l_s, l_m = branch_losses(outputs, prep.targets)
     pose_fn = adds_loss if symmetric else add_loss
     l_d = pose_fn(outputs["quats"], outputs["trans"], model_points,
                   prep.targets.model_pos.values)
@@ -552,15 +544,14 @@ def train(dataset: Dataset, cfg: NetConfig, seed: int = 0):
                 outputs = forward_all(prep, params, cfg)
                 l_d, l_s, l_m, l_att = scene_losses(
                     prep, outputs, cfg, dataset.symmetric, model_points)
-                loss = total_loss(l_d, l_s, l_m, l_att, cfg.phi)
+                loss = total_loss(l_d, l_s, l_m, l_att, PHI)
                 ad.backward(loss)
             except NonFiniteInput as exc:
                 raise NonFiniteLoss(f"non-finite value at step {step}: {exc}")
             if not np.isfinite(loss.item()):
                 raise NonFiniteLoss(f"loss diverged at step {step}")
             grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-            ad.adam_step(params, grads, state, lr=lr, beta1=cfg.beta1,
-                         beta2=cfg.beta2, eps=cfg.adam_eps)
+            ad.adam_step(params, grads, state, lr=lr)
             sums["L_d"] += l_d.item()
             sums["L_s"] += l_s.item()
             sums["L_m"] += l_m.item()
@@ -657,7 +648,7 @@ def evaluate_dataset(params: dict, cfg: NetConfig, dataset: Dataset,
         ))
         targets = correspondence_targets(rec.scene, dataset.model, rec.gt,
                                          pred.center)
-        l_s, l_m = branch_losses(pred.outputs, targets, cfg.epsilon)
+        l_s, l_m = branch_losses(pred.outputs, targets)
         corr_l1s.append(0.5 * (l_s.item() + l_m.item()))
     diagnostics = {"corr_l1": float(np.mean(corr_l1s))}
     return records, diagnostics

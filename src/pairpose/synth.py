@@ -53,6 +53,9 @@ class ShapeSpec:
         if len(self.dims) != expected[self.kind]:
             raise ValueError(f"{self.kind} needs {expected[self.kind]} dims, "
                              f"got {len(self.dims)}")
+        if (self.kind == "box_with_bump"
+                and self.dims[3] >= min(self.dims[1:3]) / 4):
+            raise ValueError("bump radius too large for the +x face")
         if self.n < 4:
             raise ValueError("need at least 4 sample points")
 
@@ -84,6 +87,9 @@ class SceneSpec:
         lo, hi = self.translation
         if len(lo) != 3 or len(hi) != 3 or any(h < l for l, h in zip(lo, hi)):
             raise ValueError("translation must be (low, high) 3-vectors")
+        if len(self.viewpoint) != 3:
+            raise ValueError(f"viewpoint must be 3 numbers, got "
+                             f"{len(self.viewpoint)}")
 
 
 def _sample_box_surface(rng, sx, sy, sz, n):
@@ -144,8 +150,6 @@ def gen_shape(spec: ShapeSpec) -> OrientedPointCloud:
     # box_with_bump: hemisphere on the +x face, offset off every mirror
     # plane, so the shape has no symmetry at all.
     sx, sy, sz, rb = spec.dims
-    if rb >= min(sy, sz) / 4:
-        raise ValueError("bump radius too large for the +x face")
     center = np.array([sx / 2, sy / 4, sz / 8])
     box_area = 2 * (sy * sz + sx * sz + sx * sy) - np.pi * rb * rb
     bump_area = 2 * np.pi * rb * rb

@@ -164,7 +164,7 @@ def scene_loss(params, cfg, dataset):
     outputs = net.forward_all(prep, params, cfg)
     losses = net.scene_losses(prep, outputs, cfg, dataset.symmetric,
                               dataset.model.positions)
-    return outputs, net.total_loss(*losses, cfg.phi)
+    return outputs, net.total_loss(*losses, net.PHI)
 
 
 class TestGraphRelease:

@@ -391,6 +391,17 @@ class TestGradcheckCommand:
         assert report["passed"] is True
         assert report["end_to_end"]["passed"] is True
 
+    def test_bad_config_fails_before_any_suite(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["gradcheck", "--instances", "1", "--out", str(out),
+                     "--set", "bogus_key=1"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "SchemaViolation"
+        assert "--set" in err["message"] and "bogus_key" in err["message"]
+        assert not out.exists()
+
 
 class TestAblateCommand:
     def test_attention_grid_rows(self, tmp_path, toy_config):

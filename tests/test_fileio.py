@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -17,7 +18,8 @@ from pairpose.errors import (
     SchemaViolation,
 )
 from pairpose.geom import Pose, random_pose
-from pairpose.net import NetConfig, init_params
+from pairpose.metrics import DEFAULT_AUC_MAX_THRESHOLD
+from pairpose.net import EPSILON, PHI, NetConfig, init_params
 from pairpose.solver import CorrespondenceSet, PoseSet
 from pairpose.synth import SceneSpec, ShapeSpec, make_dataset
 from tests.test_geom import make_cloud
@@ -186,7 +188,9 @@ class TestConfig:
         cfg = fileio.Config()
         assert cfg.n == 1000
         assert (cfg.gamma1, cfg.gamma2, cfg.gamma3) == (100.0, 50.0, 50.0)
-        assert (cfg.phi1, cfg.phi2, cfg.phi3, cfg.phi4) == (1.0, 1.0, 1.0, 0.01)
+        assert PHI == (1.0, 1.0, 1.0, 0.01) and EPSILON == 0.1
+        assert DEFAULT_AUC_MAX_THRESHOLD == 0.1
+        assert cfg.shape_spec().seed == 0
         assert cfg.epochs == 50
 
     def test_parse_and_overrides(self):
@@ -204,6 +208,21 @@ class TestConfig:
         with pytest.raises(SchemaViolation):
             fileio.parse_config("epochs=abc\n")
 
+    def test_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("n=64\nphi1=2\n")
+        with pytest.raises(SchemaViolation,
+                           match=re.escape(f"{path}, line 2: unknown config "
+                                           f"key 'phi1'")):
+            fileio.load_config(path)
+
+    def test_override_errors_name_set(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("n=64\n")
+        with pytest.raises(SchemaViolation,
+                           match="--set, line 2: bad value for epochs"):
+            fileio.load_config(path, overrides=["n=32", "epochs=abc"])
+
     def test_validation_of_derived_specs(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("occlusion_fraction=1.5\n")
@@ -219,7 +238,9 @@ class TestConfig:
         assert back == cfg
 
     @pytest.mark.parametrize("override", [
-        "attention_source=bogus", "phi1=-1", "feat_widths=", "gamma1=-1",
+        "attention_source=bogus", "feat_widths=", "gamma1=-1",
+        "psn_trunk=-1,4", "psn_trunk=8,0", "feat_widths=8,-2", "head_hidden=0",
+        "decode_width=0", "feat_global_width=-1", "psn_out_width=0",
         pytest.param("gamma1=0\ngamma2=0\ngamma3=0", id="all_gammas_zero"),
         pytest.param("ppf_supervision=false\ngamma2=-1",
                      id="negative_gamma_unsupervised"),
@@ -243,16 +264,14 @@ class TestConfig:
     def test_keys_and_their_order(self):
         # the order of a checkpoint's config keys and of write_config's lines
         assert [f.name for f in fields(fileio.Config)] == [
-            "n", "shape_kind", "shape_dims", "shape_seed", "scenes",
-            "train_fraction", "rotation", "max_angle", "translation_low",
-            "translation_high", "noise_sigma", "occlusion_fraction",
-            "viewpoint", "gamma1", "gamma2", "gamma3", "phi1", "phi2", "phi3",
-            "phi4", "epsilon", "psn_trunk", "psn_exterior_width",
+            "n", "shape_kind", "shape_dims", "scenes", "train_fraction",
+            "rotation", "max_angle", "translation_low", "translation_high",
+            "noise_sigma", "occlusion_fraction", "viewpoint", "gamma1",
+            "gamma2", "gamma3", "psn_trunk", "psn_exterior_width",
             "psn_out_width", "feat_widths", "feat_global_width",
             "decode_width", "head_hidden", "attention_source",
             "attention_for_match", "attention_for_direct", "ppf_supervision",
-            "epochs", "lr", "lr_decay", "beta1", "beta2", "adam_eps",
-            "num_pairs", "auc_max_threshold", "seed"]
+            "epochs", "lr", "lr_decay", "num_pairs", "seed"]
 
     def test_default_net_config_is_default_netconfig(self):
         assert fileio.Config().net_config() == NetConfig()
@@ -268,7 +287,7 @@ def b64_float64(values) -> str:
 
 
 def tiny_checkpoint(tmp_path, seed, n=5):
-    """A valid checkpoint.v3 file of the tiny network and its parsed JSON."""
+    """A valid checkpoint.v4 file of the tiny network and its parsed JSON."""
     cfg = fileio.parse_config(TINY_NET)
     params = init_params(cfg.net_config(), n, np.random.default_rng(seed))
     path = tmp_path / "ckpt.json"
@@ -333,9 +352,15 @@ class TestCheckpoint:
         lambda obj: {**obj, "config": {**obj["config"],
                                        "attention_for_match": "yes"}},
         lambda obj: {**obj, "config": {**obj["config"], "feat_widths": []}},
+        lambda obj: {**obj, "config": {**obj["config"], "shape_kind": "bogus"}},
+        lambda obj: {**obj, "config": {**obj["config"],
+                                       "rotation": "sideways"}},
+        lambda obj: {**obj, "config": {**obj["config"],
+                                       "occlusion_fraction": 2.0}},
     ], ids=["top_level_array", "config_array", "scalar_trunk",
             "bad_attention_source", "string_num_pairs", "string_flag",
-            "no_feat_widths"])
+            "no_feat_widths", "bad_shape_kind", "bad_rotation",
+            "occlusion_fraction_above_one"])
     def test_malformed_config_rejected(self, tmp_path, corrupt):
         path, obj = tiny_checkpoint(tmp_path, 12)
         path.write_text(json.dumps(corrupt(obj)))
@@ -405,6 +430,17 @@ class TestCheckpoint:
         with pytest.raises(SchemaViolation, match="checkpoint.v2.*retrain"):
             fileio.read_checkpoint(path)
 
+    def test_v3_checkpoint_rejected(self, tmp_path):
+        path, obj = tiny_checkpoint(tmp_path, 14)
+        obj["format"] = "checkpoint.v3"
+        obj["config"].update(phi1=1.0, phi2=1.0, phi3=1.0, phi4=0.01,
+                             epsilon=0.1, beta1=0.9, beta2=0.999,
+                             adam_eps=1e-8, shape_seed=0,
+                             auc_max_threshold=0.1)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaViolation, match="checkpoint.v3.*retrain"):
+            fileio.read_checkpoint(path)
+
     @pytest.mark.parametrize("n", [3, 17])
     def test_bytes_equal_json_dump_of_whole_object(self, tmp_path, n):
         cfg = fileio.parse_config(TINY_NET)
@@ -413,7 +449,7 @@ class TestCheckpoint:
         fileio.write_checkpoint(path, params, cfg, n)
         # the writer's original form: one json.dump of the whole object
         obj = {
-            "format": "checkpoint.v3",
+            "format": "checkpoint.v4",
             "n_points": n,
             "config": {f: list(v) if isinstance(v, tuple) else v
                        for f, v in vars(cfg).items()},

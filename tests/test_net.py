@@ -221,7 +221,7 @@ class TestHeads:
             (pos, nrm), _ = net.bidirectional_forward(feat, feat, one_hot,
                                                       params, cfg)
             loss = net.correspondence_loss(pos, nrm, target_pos, target_nrm,
-                                           cfg.epsilon)
+                                           net.EPSILON)
             ad.backward(loss)
             ad.adam_step(params, {k: p.grad for k, p in params.items()
                                   if p.grad is not None}, state, lr=lr)
@@ -353,7 +353,7 @@ class TestEndToEndGradient:
                                       frozen_head_attention=frozen)
             l_d, l_s, l_m, l_att = net.scene_losses(
                 prep, outputs, TINY, False, ds.model.positions)
-            return net.total_loss(l_d, l_s, l_m, l_att, TINY.phi)
+            return net.total_loss(l_d, l_s, l_m, l_att, net.PHI)
 
         report = ad.grad_check(f, params, h=1e-5, tol=1e-3)
         assert report["passed"], report["max_rel_err"]

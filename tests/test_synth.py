@@ -65,6 +65,8 @@ class TestGenShape:
             ShapeSpec("sphere", (0.05,), n=3)
         with pytest.raises(ValueError):
             ShapeSpec("box", (0.1, -0.1, 0.1), n=10)
+        with pytest.raises(ValueError, match="bump radius"):
+            ShapeSpec("box_with_bump", (0.08, 0.1, 0.12, 0.025), n=10)
 
 
 class TestFarthestPoint:
