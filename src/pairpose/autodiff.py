@@ -1,13 +1,15 @@
 """Minimal reverse-mode automatic differentiation over dense 2-D arrays.
 
 Every operation returns a fresh ``Tensor`` holding float64 values and, when
-any input has ``requires_grad``, a backward closure plus parent links; the
-operation record therefore lives implicitly on the tensors themselves and
-``backward`` replays it in reverse topological order.  The operation set is
-closed and small on purpose: each op has a hand-written vector-Jacobian
-product, and ``grad_check`` verifies all of them against central finite
-differences, falling back to a one-sided difference at a relu or l1 kink for
-at most ``MAX_KINKS`` coordinates.
+any input has ``requires_grad``, a backward closure plus links to the inputs
+that take a gradient; the operation record therefore lives implicitly on the
+tensors themselves and ``backward`` replays it in reverse topological order.
+A closure keeps only what its VJP reads: a dense layer (``dense``, matmul +
+bias + optional relu) is one node holding its output, not three.  The
+operation set is closed and small on purpose: each op has a hand-written
+vector-Jacobian product, and ``grad_check`` verifies all of them against
+central finite differences, falling back to a one-sided difference at a relu
+or l1 kink for at most ``MAX_KINKS`` coordinates.
 
 A graph and its tensors form a single-threaded unit of work; parameters are
 plain leaf tensors whose ``values`` the optimizer updates in place.
@@ -71,11 +73,10 @@ class Tensor:
 
 
 def _result(values, parents, backward_fn):
-    tracked = tuple(p for p in parents if isinstance(p, Tensor))
-    needs = any(p.requires_grad for p in tracked)
-    return Tensor(values, requires_grad=needs,
-                  _parents=tracked if needs else (),
-                  _backward=backward_fn if needs else None)
+    # only parents that take a gradient: backward never reads the others
+    tracked = tuple(p for p in parents if p.requires_grad)
+    return Tensor(values, requires_grad=bool(tracked), _parents=tracked,
+                  _backward=backward_fn if tracked else None)
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -147,6 +148,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_v, (a, b), back)
 
 
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b with a single-row bias, then max(., 0) when ``relu``: one
+    graph node where matmul, add and relu make three.
+
+    The finiteness check runs on the pre-activation, so a non-finite
+    x @ w or bias sum raises even where relu would map it to 0.  The output
+    and the saved inputs are all the node keeps; the VJP rebuilds the relu
+    mask from the output (positive exactly where the pre-activation was).
+    """
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeMismatch(f"dense {x.shape} x {w.shape} + {b.shape}")
+    z = x.values @ w.values
+    z += b.values
+
+    def back(g):
+        # g is this node's own gradient buffer, so it is masked in place.
+        # Masking leaves -0.0 where g < 0, which a separate relu node's VJP
+        # would have cleared; it can only change the sign of exact-zero
+        # sums and products, and every one goes through _accumulate, whose
+        # first write adds 0.0 and whose += never makes a -0.0 (a gradient
+        # holds none), so the gradients keep the three-node chain's bits.
+        if relu:
+            g *= z > 0.0
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            _accumulate(x, g @ w.values.T)
+        if w.requires_grad:
+            _accumulate(w, x.values.T @ g)
+
+    out = _result(z, (x, w, b), back)   # checks z before the relu
+    if relu:
+        # max(z, 0) may keep a -0.0; adding 0.0 makes it 0.0, so the bits
+        # are those of np.where(z > 0, z, 0.0) on finite z
+        np.maximum(z, 0.0, out=z)
+        z += 0.0
+    return out
+
+
 def transpose(a: Tensor) -> Tensor:
     def back(g):
         _accumulate(a, g.T)
@@ -180,9 +220,13 @@ def concat_cols(*tensors: Tensor) -> Tensor:
     if any(t.shape[0] != rows for t in tensors):
         raise ShapeMismatch(f"concat_cols row mismatch: {[t.shape for t in tensors]}")
     offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
+    # the closure holds only the parts that take a gradient
+    spans = [(t, lo, hi)
+             for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:])
+             if t.requires_grad]
 
     def back(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, lo, hi in spans:
             _accumulate(t, g[:, lo:hi])
 
     return _result(np.hstack([t.values for t in tensors]), tensors, back)
@@ -328,9 +372,10 @@ def mean_pose_point_distance(quats: Tensor, trans: Tensor, points: np.ndarray,
     dist = np.linalg.norm(u, axis=2)
 
     def back(g):
-        scale = g[0, 0] / (n * k)
-        safe = np.maximum(dist, eps)[:, :, None]
-        s = np.where(dist[:, :, None] < eps, 0.0, u / safe) * scale  # dL/du
+        # dL/du, formed in one (N, K, 3) array
+        s = u / np.maximum(dist, eps)[:, :, None]
+        s[dist < eps] = 0.0
+        s *= g[0, 0] / (n * k)
         _accumulate(trans, s.sum(axis=1))
         # dL/dR, then through R = I + 2w[v]x + 2(v v^T - |v|^2 I)
         grad_rot = s.transpose(0, 2, 1) @ gathered            # (N, 3, 3)

@@ -3,9 +3,13 @@
 Each builder constructs a small random instance whose loss is smooth at the
 sampled point (values are kept away from relu/l1/|.| kinks), so central
 differences are a valid oracle for the hand-written backward passes and the
-suites resolve no kinks.  The end-to-end instance cannot avoid kinks: a head
-relu may sit within ``h`` of zero, where ``grad_check`` falls back to a
-one-sided difference for at most ``autodiff.MAX_KINKS`` coordinates.
+suites resolve no kinks.  The fused ``dense`` op has two suites, without and
+with its relu; both redraw an instance until every pre-activation
+x @ w + b is at least 0.2 from zero, so the relu suite sees both sides of
+the kink but never its neighbourhood.  The end-to-end instance cannot avoid
+kinks: a head relu may sit within ``h`` of zero, where ``grad_check`` falls
+back to a one-sided difference for at most ``autodiff.MAX_KINKS``
+coordinates.
 """
 
 from __future__ import annotations
@@ -59,6 +63,21 @@ def _build_relu(rng):
     p = {"a": ad.Tensor(_away_from_zero(rng, (4, 5)), requires_grad=True)}
     tgt = ad.Tensor(rng.standard_normal((4, 5)))
     return p, lambda: ad.mse(ad.relu(p["a"]), tgt)
+
+
+def _build_dense(rng, relu=False):
+    # redrawn until every pre-activation is at least 0.2 from relu's kink
+    while True:
+        p = _params(rng, x=(3, 4), w=(4, 2), b=(1, 2))
+        z = p["x"].values @ p["w"].values + p["b"].values
+        if np.min(np.abs(z)) >= 0.2:
+            break
+    tgt = ad.Tensor(rng.standard_normal((3, 2)))
+    return p, lambda: ad.mse(ad.dense(p["x"], p["w"], p["b"], relu=relu), tgt)
+
+
+def _build_dense_relu(rng):
+    return _build_dense(rng, relu=True)
 
 
 def _build_row_softmax(rng):
@@ -135,6 +154,8 @@ OP_SUITES = {
     "add_bias": _build_add_bias,
     "concat_cols": _build_concat_cols,
     "relu": _build_relu,
+    "dense": _build_dense,
+    "dense_relu": _build_dense_relu,
     "row_softmax": _build_row_softmax,
     "row_l2_normalize": _build_row_l2_normalize,
     "mean_pool_rows": _build_mean_pool_rows,

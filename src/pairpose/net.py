@@ -206,16 +206,16 @@ def detach_params(params: dict) -> dict:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def _dense(x, params, name):
-    return ad.add(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+def _dense(x, params, name, relu=False):
+    return ad.dense(x, params[f"{name}.w"], params[f"{name}.b"], relu=relu)
 
 
 def _psn_trunk_forward(x, params, cfg):
-    h0 = ad.relu(_dense(x, params, "psn.t0"))
-    h1 = ad.relu(_dense(h0, params, "psn.t1"))
+    h0 = _dense(x, params, "psn.t0", relu=True)
+    h1 = _dense(h0, params, "psn.t1", relu=True)
     h = ad.concat_cols(h0, h1) if len(cfg.psn_trunk) > 2 else h1
     for i in range(2, len(cfg.psn_trunk)):
-        h = ad.relu(_dense(h, params, f"psn.t{i}"))
+        h = _dense(h, params, f"psn.t{i}", relu=True)
     return h
 
 
@@ -228,8 +228,8 @@ def psn_forward(scene_x, model_x, params, cfg: NetConfig):
     n = scene_x.shape[0]
     hs = _psn_trunk_forward(scene_x, params, cfg)
     hm = _psn_trunk_forward(model_x, params, cfg)
-    ext_for_scene = ad.relu(_dense(ad.mean_pool_rows(hm), params, "psn.ext"))
-    ext_for_model = ad.relu(_dense(ad.mean_pool_rows(hs), params, "psn.ext"))
+    ext_for_scene = _dense(ad.mean_pool_rows(hm), params, "psn.ext", relu=True)
+    ext_for_model = _dense(ad.mean_pool_rows(hs), params, "psn.ext", relu=True)
     f_sa = ad.row_l2_normalize(_dense(
         ad.concat_cols(hs, ad.repeat_rows(ext_for_scene, n)), params, "psn.out"))
     f_ma = ad.row_l2_normalize(_dense(
@@ -252,8 +252,8 @@ def attention_loss(m, w):
 def _feat_side(x, params, prefix, cfg):
     h = x
     for i in range(len(cfg.feat_widths)):
-        h = ad.relu(_dense(h, params, f"{prefix}.l{i}"))
-    g = ad.relu(_dense(ad.mean_pool_rows(h), params, f"{prefix}.glob"))
+        h = _dense(h, params, f"{prefix}.l{i}", relu=True)
+    g = _dense(ad.mean_pool_rows(h), params, f"{prefix}.glob", relu=True)
     return ad.concat_cols(h, ad.repeat_rows(g, x.shape[0]))
 
 
@@ -282,7 +282,7 @@ def _regressor_trunk(f, decoded, attn_rows, exterior, params, prefix,
     parts.append(f)
     h = ad.concat_cols(*parts)
     for i in range(len(cfg.head_hidden)):
-        h = ad.relu(_dense(h, params, f"{prefix}.h{i}"))
+        h = _dense(h, params, f"{prefix}.h{i}", relu=True)
     return h
 
 
@@ -300,8 +300,8 @@ def bidirectional_forward(f_s, f_m, head_attn, params, cfg: NetConfig):
     """Both correspondence heads with inter-branch pooled-decode exchange;
     the scene head reads the rows of ``head_attn`` (see
     ``head_attention_input``), the model head its columns."""
-    dec_s = ad.relu(_dense(f_s, params, "corr_s.dec"))
-    dec_m = ad.relu(_dense(f_m, params, "corr_m.dec"))
+    dec_s = _dense(f_s, params, "corr_s.dec", relu=True)
+    dec_m = _dense(f_m, params, "corr_m.dec", relu=True)
     attn_s = attn_m = None
     if cfg.attention_for_match:
         attn_s, attn_m = head_attn, ad.transpose(head_attn)
@@ -321,7 +321,7 @@ def direct_pose_forward(f_s, head_attn, params, cfg: NetConfig):
     if cfg.attention_for_direct and head_attn is None:
         raise ValueError("config wants attention for the direct branch but "
                          "no attention map was computed")
-    decoded = ad.relu(_dense(f_s, params, "direct.dec"))
+    decoded = _dense(f_s, params, "direct.dec", relu=True)
     attn_rows = head_attn if cfg.attention_for_direct else None
     h = _regressor_trunk(f_s, decoded, attn_rows, None, params, "direct", cfg)
     quats = ad.row_l2_normalize(_dense(h, params, "direct.quat"))

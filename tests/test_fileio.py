@@ -718,8 +718,8 @@ CONFIG_LINES = st.sampled_from(fields(fileio.Config)).flatmap(
 
 class TestConfigAndManifestFuzz:
     """``load_config`` on fuzzed key=value text and --set overrides, and
-    ``load_dataset`` on a damaged manifest, return or raise a PairposeError;
-    nothing else escapes."""
+    ``load_dataset`` on a damaged manifest or scene PLY, return or raise a
+    PairposeError; nothing else escapes."""
 
     @FUZZ
     @given(data=st.data())
@@ -768,3 +768,17 @@ class TestConfigAndManifestFuzz:
             fileio.load_dataset(tmp_path)
         except PairposeError:
             pass
+
+    @FUZZ
+    @given(data=st.data())
+    def test_scene_ply_truncations_and_byte_substitutions(self, tmp_path,
+                                                          data):
+        manifest = json.loads(small_dataset_dir(tmp_path))
+        name = data.draw(st.sampled_from([entry["file"]
+                                          for entry in manifest["scenes"]]))
+        path = tmp_path / name
+        path.write_bytes(damaged(data, path.read_bytes()))
+        try:
+            fileio.load_dataset(tmp_path)
+        except PairposeError as exc:
+            assert name in str(exc), str(exc)

@@ -580,14 +580,24 @@ class TestSinglePassEvaluation:
 
     def test_traced_names_are_net_attributes(self):
         # the benchmark's tracer looks these up on net with getattr
-        import importlib.util
-        import pathlib
-        path = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-                / "tracing.py")
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        for name in (*tracing.NET_FUNCTIONS, "attention_loss",
+        for name in (*perfbench_tracing().NET_FUNCTIONS, "attention_loss",
                      "attention_target", "poses_from_matches",
                      "average_poses"):
             assert callable(getattr(net, name)), name
+
+    def test_traced_op_names_are_autodiff_attributes(self):
+        # and these on autodiff, whether or not net still calls them
+        for name in perfbench_tracing().OPS:
+            assert callable(getattr(ad, name)), name
+
+
+def perfbench_tracing():
+    """The benchmark's ``perfbench/tracing.py``, imported by path."""
+    import importlib.util
+    import pathlib
+    path = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+            / "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
