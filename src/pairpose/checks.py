@@ -194,10 +194,10 @@ def run_op_grad_suites(instances: int = 100, h: float = 1e-5, tol: float = 1e-4,
 
 def run_end_to_end_grad_check(h: float = 1e-5, tol: float = 1e-3,
                               seed: int = 0) -> dict:
-    """Finite-difference check of the whole network's joint loss on a small
-    (16-point) instance; the tolerance is looser than per-op due to depth."""
-    from .net import (PHI, NetConfig, forward_all, init_params, prepare_scene,
-                      scene_losses, total_loss)
+    """Finite-difference check of ``net.scene_losses`` on a small (16-point)
+    instance; the tolerance is looser than per-op due to depth."""
+    from .net import (NetConfig, forward_all, init_params, prepare_scene,
+                      scene_losses)
     from .synth import SceneSpec, ShapeSpec, make_dataset
 
     cfg = NetConfig(psn_trunk=(8, 12, 16), psn_exterior_width=4,
@@ -217,9 +217,7 @@ def run_end_to_end_grad_check(h: float = 1e-5, tol: float = 1e-3,
 
     def f():
         outputs = forward_all(prep, params, cfg, frozen_head_attention=frozen)
-        l_d, l_s, l_m, l_att = scene_losses(prep, outputs, cfg, False,
-                                            ds.model.positions)
-        return total_loss(l_d, l_s, l_m, l_att, PHI)
+        return scene_losses(prep, outputs, cfg, False, ds.model.positions)[0]
 
     report = ad.grad_check(f, params, h=h, tol=tol)
     return {"max_rel_err": report["max_rel_err"], "kinks": report["kinks"],

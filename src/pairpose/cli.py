@@ -1,9 +1,9 @@
 """Command-line interface tying the modules into reproducible experiments.
 
 Every command takes --config (flat key=value file), repeated --set KEY=VALUE
-overrides, and --seed; identical configuration and seed produce byte-
-identical output files.  Failures print one machine-readable JSON object on
-stderr and exit nonzero.
+overrides, and --seed (eval reads only the seed, and its --set takes only
+seed); identical configuration and seed produce byte-identical output files.
+Failures print one machine-readable JSON object on stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 
 from . import fileio, net
 from .checks import run_end_to_end_grad_check, run_op_grad_suites
-from .errors import PairposeError
+from .errors import PairposeError, SchemaViolation
 from .fileio import Config
 from .metrics import summarize
 from .solver import average_poses, kabsch_points, poses_from_matches
@@ -76,6 +76,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    keys = {o.split("=", 1)[0].strip() for o in args.overrides} - {"seed"}
+    if keys:    # the network config comes from the checkpoint
+        raise SchemaViolation(f"--set: eval reads only seed, not "
+                              f"{', '.join(sorted(keys))}")
     args_cfg = _load_config(args)
     params, ckpt_cfg, n_points = fileio.read_checkpoint(args.checkpoint)
     dataset = fileio.load_dataset(args.dataset)
@@ -86,9 +90,9 @@ def cmd_eval(args) -> int:
     records, diag = net.evaluate_dataset(params, ckpt_cfg.net_config(), dataset,
                                          which=args.split, seed=args_cfg.seed)
     name = dataset.shape_spec.kind
-    fileio.write_metrics_csv(args.out + ".csv",
-                             [fileio.metrics_csv_row(name, records)])
     report = summarize(records)
+    fileio.write_metrics_csv(args.out + ".csv",
+                             [fileio.metrics_csv_row(name, report)])
     obj = {
         "format": "metrics.v1",
         "object": name,
@@ -186,9 +190,10 @@ def cmd_ablate(args) -> int:
         params, _ = net.train(dataset, cfg.net_config(), seed=cfg.seed)
         records, diag = net.evaluate_dataset(params, cfg.net_config(), dataset,
                                              which="test", seed=cfg.seed)
+        report = summarize(records)
         lines.append(",".join([_ablation_flags(args.grid, cfg),
-                               *fileio.metric_columns(records),
-                               repr(diag["corr_l1"]), str(len(records))]))
+                               *fileio.metric_columns(report),
+                               repr(diag["corr_l1"]), str(report.count)]))
         print(f"cell {overrides or 'full'}: done")
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")

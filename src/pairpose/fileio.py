@@ -28,7 +28,7 @@ import base64
 import io
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     NonFiniteInput,
     SchemaViolation,
 )
-from .geom import OrientedPointCloud, Pose, estimate_normals
+from .geom import FRAMES, OrientedPointCloud, Pose, estimate_normals
 from .net import NetConfig, expected_param_shapes
 from .solver import CorrespondenceSet, PoseSet
 from .synth import Dataset, SceneRecord, SceneSpec, ShapeSpec
@@ -164,7 +164,7 @@ def read_ply(path, viewpoint=None, k_neighbors: int = 12) -> OrientedPointCloud:
         if {"nx", "ny", "nz"}.issubset(props):
             idx = [props.index(a) for a in ("nx", "ny", "nz")]
             normals = data[:, idx]
-            if frame not in ("model", "scene", "canonical"):
+            if frame not in FRAMES:
                 frame = "scene"
             return OrientedPointCloud(positions, normals, frame)
         if viewpoint is None:
@@ -603,19 +603,15 @@ def write_loss_csv(path, log):
         fh.write("\n".join(lines) + "\n")
 
 
-def metric_columns(records) -> list:
+def metric_columns(report) -> list:
     """The add_auc, adds_auc, acc_0p1d and acc_2cm columns of a metrics row,
-    formatted."""
-    from .metrics import accuracy, auc, threshold_absolute, threshold_relative
-
-    return [_fmt(auc(records, error_fn=lambda r: r.add_error)),
-            _fmt(auc(records, error_fn=lambda r: r.adds_error)),
-            _fmt(accuracy(records, threshold_relative(0.1))),
-            _fmt(accuracy(records, threshold_absolute(0.02)))]
+    formatted from a ``metrics.MetricsReport``."""
+    return [_fmt(v) for v in (report.add_auc, report.adds_auc,
+                              report.accuracy_at_0p1d, report.accuracy_at_2cm)]
 
 
-def metrics_csv_row(object_name, records) -> str:
-    return ",".join([object_name, *metric_columns(records), str(len(records))])
+def metrics_csv_row(object_name, report) -> str:
+    return ",".join([object_name, *metric_columns(report), str(report.count)])
 
 
 def write_metrics_csv(path, rows):
@@ -648,22 +644,29 @@ def save_dataset(out_dir, dataset: Dataset, seed: int):
         "name": dataset.shape_spec.kind,
         "symmetric": dataset.symmetric,
         "seed": seed,
-        "shape": {"kind": dataset.shape_spec.kind,
-                  "dims": list(dataset.shape_spec.dims),
-                  "n": dataset.shape_spec.n,
-                  "seed": dataset.shape_spec.seed},
-        "scene": {"rotation": dataset.scene_spec.rotation,
-                  "max_angle": dataset.scene_spec.max_angle,
-                  "translation": [list(dataset.scene_spec.translation[0]),
-                                  list(dataset.scene_spec.translation[1])],
-                  "noise_sigma": dataset.scene_spec.noise_sigma,
-                  "occlusion_fraction": dataset.scene_spec.occlusion_fraction,
-                  "viewpoint": list(dataset.scene_spec.viewpoint)},
+        "shape": asdict(dataset.shape_spec),
+        "scene": {k: v for k, v in asdict(dataset.scene_spec).items()
+                  if k != "seed"},
         "scenes": entries,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+
+
+def _tuples(v):
+    # JSON lists as (nested) tuples, the form the spec dataclasses hold
+    return tuple(_tuples(x) for x in v) if isinstance(v, list) else v
+
+
+def _spec_from_obj(cls, obj, path, skip=None):
+    """A ShapeSpec or SceneSpec from its manifest object, which must hold
+    exactly the spec's fields other than ``skip``."""
+    names = [f.name for f in fields(cls) if f.name != skip]
+    if not isinstance(obj, dict) or set(obj) != set(names):
+        raise SchemaViolation(f"{path}: {cls.__name__} needs the keys "
+                              f"{names}, got {obj!r:.80}")
+    return cls(**{k: _tuples(v) for k, v in obj.items()})
 
 
 def load_dataset(in_dir) -> Dataset:
@@ -677,17 +680,9 @@ def load_dataset(in_dir) -> Dataset:
     if not isinstance(manifest, dict) or manifest.get("format") != "dataset.v1":
         raise SchemaViolation(f"{path}: expected a dataset.v1 JSON object")
     try:
-        shape = ShapeSpec(manifest["shape"]["kind"],
-                          tuple(manifest["shape"]["dims"]),
-                          manifest["shape"]["n"], manifest["shape"]["seed"])
-        sc = manifest["scene"]
-        scene_spec = SceneSpec(
-            rotation=sc["rotation"], max_angle=sc["max_angle"],
-            translation=(tuple(sc["translation"][0]),
-                         tuple(sc["translation"][1])),
-            noise_sigma=sc["noise_sigma"],
-            occlusion_fraction=sc["occlusion_fraction"],
-            viewpoint=tuple(sc["viewpoint"]))
+        shape = _spec_from_obj(ShapeSpec, manifest["shape"], path)
+        scene_spec = _spec_from_obj(SceneSpec, manifest["scene"], path,
+                                    skip="seed")
         model = read_ply(os.path.join(in_dir, "model.ply"))
         records, train_idx, test_idx = [], [], []
         for i, entry in enumerate(manifest["scenes"]):

@@ -9,7 +9,7 @@ threshold step curve exactly on [0, cap] and normalizes to [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,16 +45,23 @@ class EvalRecord:
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """The evaluation summary of a set of records (see ``summarize``); the
+    metrics JSON, the metrics CSV and the ablation rows all read it."""
+
+    add_auc: float
+    adds_auc: float
+    auc: float
     accuracy_at_0p1d: float
     accuracy_at_2cm: float
-    auc: float
     count: int
 
     def __post_init__(self):
-        for name in ("accuracy_at_0p1d", "accuracy_at_2cm", "auc"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name != "count" and not 0.0 <= v <= 1.0:
+                raise ValueError(f"{f.name} must be in [0, 1], got {v}")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
 
 
 def model_diameter(model: OrientedPointCloud) -> float:
@@ -139,14 +146,17 @@ def auc(records, max_threshold: float = DEFAULT_AUC_MAX_THRESHOLD,
     return float(np.clip(value, 0.0, 1.0))  # absorb division rounding
 
 
-def summarize(records, auc_max_threshold: float = DEFAULT_AUC_MAX_THRESHOLD,
-              ) -> MetricsReport:
+def summarize(records) -> MetricsReport:
+    """Every reported number of a set of records: the AUC of ADD, ADD-S and
+    the symmetry-aware error, and the accuracy at 0.1 diameter and 2 cm."""
     records = list(records)
     if not records:
         raise EmptyRecords("summary over zero records")
     return MetricsReport(
+        add_auc=auc(records, error_fn=lambda rec: rec.add_error),
+        adds_auc=auc(records, error_fn=lambda rec: rec.adds_error),
+        auc=auc(records),
         accuracy_at_0p1d=accuracy(records, threshold_relative(0.1)),
         accuracy_at_2cm=accuracy(records, threshold_absolute(0.02)),
-        auc=auc(records, auc_max_threshold),
         count=len(records),
     )

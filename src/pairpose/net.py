@@ -23,7 +23,7 @@ from .errors import NonFiniteInput, NonFiniteLoss, SizeMismatch
 from .geom import OrientedPointCloud, Pose, pose_apply, pose_invert
 from .ppf import PpfGammas, attention_target
 from .solver import CorrespondenceSet, PoseSet, average_poses, poses_from_matches
-from .synth import Dataset
+from .synth import Dataset, derive_scene_seed
 
 
 # the published loss weights: phi1 L_d + phi2 L_s + phi3 L_m + phi4
@@ -333,13 +333,13 @@ def direct_pose_forward(f_s, head_attn, params, cfg: NetConfig):
 # losses
 # ---------------------------------------------------------------------------
 
-def correspondence_loss(pred_pos, pred_nrm, gt_pos, gt_nrm, epsilon: float):
-    """(1/N) sum_i (|x_i - x̂_i|_1 + eps |n_i - n̂_i|_1).
+def correspondence_loss(pred_pos, pred_nrm, gt_pos, gt_nrm):
+    """(1/N) sum_i (|x_i - x̂_i|_1 + eps |n_i - n̂_i|_1), eps = ``EPSILON``.
 
     The elementwise-mean l1 is rescaled by 3 to make it a mean of row sums.
     """
     pos_term = ad.scalar_scale(ad.l1(pred_pos, gt_pos), 3.0)
-    nrm_term = ad.scalar_scale(ad.l1(pred_nrm, gt_nrm), 3.0 * epsilon)
+    nrm_term = ad.scalar_scale(ad.l1(pred_nrm, gt_nrm), 3.0 * EPSILON)
     return ad.add(pos_term, nrm_term)
 
 
@@ -354,23 +354,6 @@ def adds_loss(quats, trans, model_points, target_points):
                                      model_points, target_points)
     return ad.mean_pose_point_distance(quats, trans, model_points,
                                        target_points, sel=sel)
-
-
-def total_loss(l_d, l_s, l_m, l_attention, phi):
-    """phi1 * mean(L_d) + phi2 L_s + phi3 L_m + phi4 L_attention.
-
-    Any component may be None (ablated); it then contributes nothing.
-    """
-    terms = []
-    for weight, term in zip(phi, (l_d, l_s, l_m, l_attention)):
-        if term is not None and weight != 0.0:
-            terms.append(ad.scalar_scale(term, weight))
-    if not terms:
-        return ad.Tensor([[0.0]])
-    out = terms[0]
-    for t in terms[1:]:
-        out = ad.add(out, t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +384,6 @@ class CorrespondenceTargets:
 class PreparedScene(SceneInputs):
     """Inputs plus every training target for one scene."""
 
-    gt: Pose
     targets: CorrespondenceTargets
     w_target: ad.Tensor | None    # PPF attention target, if supervised
 
@@ -447,7 +429,7 @@ def prepare_scene(scene: OrientedPointCloud, model: OrientedPointCloud,
     if cfg.ppf_supervision:
         gammas = PpfGammas(*cfg.gammas)
         w = ad.Tensor(attention_target(scene, model, gt, gammas).weights)
-    return PreparedScene(**vars(inputs), gt=gt, targets=targets, w_target=w)
+    return PreparedScene(**vars(inputs), targets=targets, w_target=w)
 
 
 def forward_all(prep: SceneInputs, params: dict, cfg: NetConfig,
@@ -490,22 +472,32 @@ def forward_all(prep: SceneInputs, params: dict, cfg: NetConfig,
 def branch_losses(outputs: dict, targets: CorrespondenceTargets):
     """(L_s, L_m): each correspondence head against its targets."""
     l_s = correspondence_loss(outputs["scene_pos"], outputs["scene_nrm"],
-                              targets.scene_pos, targets.scene_nrm, EPSILON)
+                              targets.scene_pos, targets.scene_nrm)
     l_m = correspondence_loss(outputs["model_pos"], outputs["model_nrm"],
-                              targets.model_pos, targets.model_nrm, EPSILON)
+                              targets.model_pos, targets.model_nrm)
     return l_s, l_m
 
 
 def scene_losses(prep: PreparedScene, outputs: dict, cfg: NetConfig,
                  symmetric: bool, model_points: np.ndarray):
+    """The training objective phi1 L_d + phi2 L_s + phi3 L_m + phi4
+    L_attention (phi = ``PHI``) of one scene as ``(loss, terms)``: the 1x1
+    tensor that training descends, and the float value of each loss-CSV
+    column (L_attention is 0.0 without PPF supervision)."""
     l_s, l_m = branch_losses(outputs, prep.targets)
     pose_fn = adds_loss if symmetric else add_loss
     l_d = pose_fn(outputs["quats"], outputs["trans"], model_points,
                   prep.targets.model_pos.values)
-    l_att = None
+    loss = ad.add(ad.add(ad.scalar_scale(l_d, PHI[0]),
+                         ad.scalar_scale(l_s, PHI[1])),
+                  ad.scalar_scale(l_m, PHI[2]))
+    terms = {"L_d": l_d.item(), "L_s": l_s.item(), "L_m": l_m.item(),
+             "L_attention": 0.0}
     if cfg.ppf_supervision:
         l_att = attention_loss(outputs["attention"], prep.w_target)
-    return l_d, l_s, l_m, l_att
+        loss = ad.add(loss, ad.scalar_scale(l_att, PHI[3]))
+        terms["L_attention"] = l_att.item()
+    return loss, terms
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +534,8 @@ def train(dataset: Dataset, cfg: NetConfig, seed: int = 0):
             ad.zero_grad(params)
             try:
                 outputs = forward_all(prep, params, cfg)
-                l_d, l_s, l_m, l_att = scene_losses(
-                    prep, outputs, cfg, dataset.symmetric, model_points)
-                loss = total_loss(l_d, l_s, l_m, l_att, PHI)
+                loss, terms = scene_losses(prep, outputs, cfg,
+                                           dataset.symmetric, model_points)
                 ad.backward(loss)
             except NonFiniteInput as exc:
                 raise NonFiniteLoss(f"non-finite value at step {step}: {exc}")
@@ -552,10 +543,8 @@ def train(dataset: Dataset, cfg: NetConfig, seed: int = 0):
                 raise NonFiniteLoss(f"loss diverged at step {step}")
             grads = {k: p.grad for k, p in params.items() if p.grad is not None}
             ad.adam_step(params, grads, state, lr=lr)
-            sums["L_d"] += l_d.item()
-            sums["L_s"] += l_s.item()
-            sums["L_m"] += l_m.item()
-            sums["L_attention"] += l_att.item() if l_att is not None else 0.0
+            for k, v in terms.items():
+                sums[k] += v
             sums["total"] += loss.item()
             step += 1
         n = len(prepared)
@@ -638,7 +627,7 @@ def evaluate_dataset(params: dict, cfg: NetConfig, dataset: Dataset,
     records, corr_l1s = [], []
     for i, rec in enumerate(recs):
         pred = predict(params, cfg, rec.scene, dataset.model,
-                       seed=int(np.random.SeedSequence((seed, i)).generate_state(1)[0]))
+                       seed=derive_scene_seed(seed, i))
         records.append(EvalRecord(
             scene_id=f"{which}_{i}",
             add_error=add_metric(pred.final_pose, rec.gt, dataset.model),

@@ -162,9 +162,9 @@ def scene_loss(params, cfg, dataset):
     rec = dataset.train_records[0]
     prep = net.prepare_scene(rec.scene, dataset.model, rec.gt, cfg)
     outputs = net.forward_all(prep, params, cfg)
-    losses = net.scene_losses(prep, outputs, cfg, dataset.symmetric,
-                              dataset.model.positions)
-    return outputs, net.total_loss(*losses, net.PHI)
+    loss, _ = net.scene_losses(prep, outputs, cfg, dataset.symmetric,
+                               dataset.model.positions)
+    return outputs, loss
 
 
 class TestGraphRelease:

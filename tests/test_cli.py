@@ -229,6 +229,30 @@ class TestTrainEvalCommands:
         assert csv_lines[0] == "object,add_auc,adds_auc,acc_0p1d,acc_2cm,n"
         assert len(csv_lines) == 2
 
+    def test_eval_set_accepts_only_seed(self, tmp_path, toy_config, capsys):
+        # rejected before the checkpoint or the dataset is read
+        rc = main(["eval", "--dataset", str(tmp_path / "no_ds"),
+                   "--checkpoint", str(tmp_path / "no_ckpt.json"),
+                   "--out", str(tmp_path / "x"), "--config", toy_config,
+                   "--set", "num_pairs=1"])
+        assert_one_error_line(capsys, rc, "SchemaViolation", "num_pairs")
+        assert not (tmp_path / "x.json").exists()
+
+        ds_dir, run = str(tmp_path / "ds"), str(tmp_path / "run")
+        main(["synth", "--out", ds_dir, "--config", toy_config, "--seed", "0"])
+        main(["train", "--dataset", ds_dir, "--out", run,
+              "--config", toy_config, "--seed", "0"])
+        outs = []
+        for flags in (["--set", "seed=3"], ["--seed", "3"]):
+            outs.append(str(tmp_path / flags[0].strip("-")))
+            assert main(["eval", "--dataset", ds_dir, "--checkpoint",
+                         os.path.join(run, "checkpoint.json"),
+                         "--out", outs[-1], "--config", toy_config,
+                         *flags]) == 0
+        for ext in (".csv", ".json"):
+            assert (Path(outs[0] + ext).read_bytes()
+                    == Path(outs[1] + ext).read_bytes())
+
     def test_eval_rejects_wrong_point_count(self, tmp_path, toy_config, capsys):
         ds_dir = str(tmp_path / "ds")
         main(["synth", "--out", ds_dir, "--config", toy_config, "--seed", "0"])

@@ -664,6 +664,32 @@ class TestDatasetDir:
             fileio.load_dataset(tmp_path)
 
 
+    @pytest.mark.parametrize("section, edit", [
+        ("shape", lambda o: o.pop("seed")),
+        ("shape", lambda o: o.update(radius=0.1)),
+        ("scene", lambda o: o.pop("noise_sigma")),
+        ("scene", lambda o: o.update(seed=0)),
+    ], ids=["shape_missing", "shape_extra", "scene_missing", "scene_extra"])
+    def test_manifest_spec_keys_must_be_the_spec_fields(self, tmp_path,
+                                                        section, edit):
+        obj = json.loads(small_dataset_dir(tmp_path))
+        edit(obj[section])
+        (tmp_path / "manifest.json").write_text(json.dumps(obj))
+        with pytest.raises(SchemaViolation, match="manifest.json.*needs the keys"):
+            fileio.load_dataset(tmp_path)
+
+    def test_manifest_specs_are_the_dataset_specs(self, tmp_path):
+        obj = json.loads(small_dataset_dir(tmp_path))
+        back = fileio.load_dataset(tmp_path)
+        assert obj["shape"] == {"kind": "box_with_bump",
+                                "dims": [0.08, 0.1, 0.12, 0.02], "n": 16,
+                                "seed": 5}
+        assert back.shape_spec == ShapeSpec("box_with_bump", n=16, seed=5)
+        assert back.scene_spec == SceneSpec(
+            rotation="limited", max_angle=0.5, viewpoint=(1.0, 1.0, 1.0),
+            translation=((-0.05,) * 3, (0.05,) * 3))
+
+
 def small_dataset_dir(path):
     """A valid two-scene dataset directory of 16-point clouds and its
     manifest bytes."""

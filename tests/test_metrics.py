@@ -5,6 +5,7 @@ from pairpose.errors import EmptyRecords, TooFewPoints
 from pairpose.geom import OrientedPointCloud, Pose, pose_compose, random_pose
 from pairpose.metrics import (
     EvalRecord,
+    MetricsReport,
     accuracy,
     add_metric,
     adds_metric,
@@ -200,3 +201,29 @@ class TestSummary:
         assert report.accuracy_at_0p1d == pytest.approx(1 / 3)
         assert report.accuracy_at_2cm == pytest.approx(2 / 3)
         assert 0.0 < report.auc < 1.0
+
+    def test_every_field_is_its_direct_metric(self):
+        rng = np.random.default_rng(7)
+        records = [EvalRecord(f"s{i}", add_error=a, adds_error=a * f,
+                              diameter=0.2, symmetric=bool(i % 2))
+                   for i, (a, f) in enumerate(zip(rng.uniform(0, 0.12, 9),
+                                                  rng.uniform(0, 1, 9)))]
+        report = summarize(records)
+        assert report == MetricsReport(
+            add_auc=auc(records, 0.1, error_fn=lambda r: r.add_error),
+            adds_auc=auc(records, 0.1, error_fn=lambda r: r.adds_error),
+            auc=auc(records, 0.1),
+            accuracy_at_0p1d=accuracy(records, threshold_relative(0.1)),
+            accuracy_at_2cm=accuracy(records, threshold_absolute(0.02)),
+            count=9)
+        assert report.add_auc != report.adds_auc
+
+    @pytest.mark.parametrize("field, value", [
+        ("add_auc", -0.1), ("adds_auc", 1.5), ("auc", float("nan")),
+        ("accuracy_at_0p1d", 2.0), ("accuracy_at_2cm", -1.0), ("count", 0)])
+    def test_report_range_checks_every_field(self, field, value):
+        fields = dict(add_auc=0.5, adds_auc=0.5, auc=0.5, accuracy_at_0p1d=0.5,
+                      accuracy_at_2cm=0.5, count=1)
+        MetricsReport(**fields)
+        with pytest.raises(ValueError, match=field):
+            MetricsReport(**{**fields, field: value})

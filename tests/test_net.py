@@ -220,8 +220,7 @@ class TestHeads:
             ad.zero_grad(params)
             (pos, nrm), _ = net.bidirectional_forward(feat, feat, one_hot,
                                                       params, cfg)
-            loss = net.correspondence_loss(pos, nrm, target_pos, target_nrm,
-                                           net.EPSILON)
+            loss = net.correspondence_loss(pos, nrm, target_pos, target_nrm)
             ad.backward(loss)
             ad.adam_step(params, {k: p.grad for k, p in params.items()
                                   if p.grad is not None}, state, lr=lr)
@@ -235,19 +234,19 @@ class TestLosses:
     def test_correspondence_loss_examples(self):
         pos = ad.Tensor([[0.0, 0.0, 0.0]])
         nrm = ad.Tensor([[0.0, 0.0, 1.0]])
-        assert net.correspondence_loss(pos, nrm, pos, nrm, 0.1).item() == 0.0
+        assert net.correspondence_loss(pos, nrm, pos, nrm).item() == 0.0
         off = ad.Tensor([[0.1, 0.0, 0.0]])
-        assert net.correspondence_loss(off, nrm, pos, nrm, 0.1).item() == \
+        assert net.correspondence_loss(off, nrm, pos, nrm).item() == \
             pytest.approx(0.1, abs=1e-12)
         nrm2 = ad.Tensor([[1.0, 0.0, 0.0]])  # L1 gap |0-1| + |0-0| + |1-0| = 2
-        got = net.correspondence_loss(pos, nrm2, pos, nrm, 0.1).item()
+        got = net.correspondence_loss(pos, nrm2, pos, nrm).item()
         assert got == pytest.approx(0.2, abs=1e-12)
 
     def test_correspondence_loss_epsilon_scaling(self):
         pos = ad.Tensor([[0.0, 0.0, 0.0]])
         a = ad.Tensor([[0.0, 0.0, 1.0]])
         b = ad.Tensor([[0.0, 1.0, 1.0]])  # L1 normal gap exactly 1.0
-        assert net.correspondence_loss(pos, b, pos, a, 0.1).item() == \
+        assert net.correspondence_loss(pos, b, pos, a).item() == \
             pytest.approx(0.1, abs=1e-12)
 
     def test_add_loss_zero_at_gt_and_translation_offset(self):
@@ -276,15 +275,34 @@ class TestLosses:
             assert adds_v <= add_v + 1e-12
 
     def test_total_loss_weighting(self):
-        zero = ad.Tensor([[0.0]])
-        one = ad.Tensor([[1.0]])
-        assert net.total_loss(zero, zero, zero, zero,
-                              (1, 1, 1, 0.01)).item() == 0.0
-        assert net.total_loss(one, one, one, one,
-                              (1, 1, 1, 0.01)).item() == pytest.approx(3.01)
-        # phi4 = 0 is the no-attention-supervision ablation
-        assert net.total_loss(one, one, one, one,
-                              (1, 1, 1, 0.0)).item() == pytest.approx(3.0)
+        # scene_losses is the weighted sum of the separate loss functions,
+        # in the order ((L_d + L_s) + L_m) + 0.01 L_attention
+        for kind in ("box_with_bump", "box"):       # ADD, ADD-S
+            ds = tiny_dataset(n_scenes=1, n=32, seed=39, kind=kind)
+            rec = ds.records[0]
+            for ppf_supervision in (True, False):
+                cfg = net.NetConfig(**{**TINY.__dict__,
+                                       "ppf_supervision": ppf_supervision})
+                params = net.init_params(cfg, 32, np.random.default_rng(40))
+                prep = net.prepare_scene(rec.scene, ds.model, rec.gt, cfg)
+                outputs = net.forward_all(prep, params, cfg)
+                loss, terms = net.scene_losses(prep, outputs, cfg,
+                                               ds.symmetric, ds.model.positions)
+
+                l_s, l_m = net.branch_losses(outputs, prep.targets)
+                pose_fn = net.adds_loss if ds.symmetric else net.add_loss
+                l_d = pose_fn(outputs["quats"], outputs["trans"],
+                              ds.model.positions, prep.targets.model_pos.values)
+                expected = ad.add(ad.add(l_d, l_s), l_m)
+                l_att = 0.0
+                if ppf_supervision:
+                    att = net.attention_loss(outputs["attention"],
+                                             prep.w_target)
+                    expected = ad.add(expected, ad.scalar_scale(att, 0.01))
+                    l_att = att.item()
+                assert loss.values.tobytes() == expected.values.tobytes()
+                assert terms == {"L_d": l_d.item(), "L_s": l_s.item(),
+                                 "L_m": l_m.item(), "L_attention": l_att}
 
 
 class TestTraining:
@@ -351,12 +369,43 @@ class TestEndToEndGradient:
         def f():
             outputs = net.forward_all(prep, params, TINY,
                                       frozen_head_attention=frozen)
-            l_d, l_s, l_m, l_att = net.scene_losses(
-                prep, outputs, TINY, False, ds.model.positions)
-            return net.total_loss(l_d, l_s, l_m, l_att, net.PHI)
+            return net.scene_losses(prep, outputs, TINY, False,
+                                    ds.model.positions)[0]
 
         report = ad.grad_check(f, params, h=1e-5, tol=1e-3)
         assert report["passed"], report["max_rel_err"]
+
+
+class TestOneObjective:
+    """Training and the gradient oracle both build their loss with
+    net.scene_losses."""
+
+    def test_train_calls_scene_losses_once_per_step(self, monkeypatch):
+        ds = tiny_dataset(n_scenes=3, n=24, seed=50)
+        cfg = net.NetConfig(**{**TINY.__dict__, "epochs": 2})
+        calls = Counting(monkeypatch, "scene_losses").calls
+        net.train(ds, cfg, seed=0)
+        assert calls["scene_losses"] == 2 * len(ds.train_records)
+
+    def test_end_to_end_grad_check_checks_scene_losses(self, monkeypatch):
+        from pairpose.checks import run_end_to_end_grad_check
+
+        built, checked = [], []
+        original = net.scene_losses
+
+        def recording_scene_losses(*args, **kwargs):
+            loss, terms = original(*args, **kwargs)
+            built.append(loss)
+            return loss, terms
+
+        def one_evaluation(f, params, h, tol):
+            checked.append(f())
+            return {"max_rel_err": 0.0, "kinks": 0, "passed": True}
+
+        monkeypatch.setattr(net, "scene_losses", recording_scene_losses)
+        monkeypatch.setattr(ad, "grad_check", one_evaluation)
+        assert run_end_to_end_grad_check()["passed"]
+        assert len(built) == len(checked) == 1 and checked[0] is built[0]
 
 
 class TestPredictEvaluate:
@@ -444,9 +493,9 @@ def reference_evaluate(params, cfg, dataset, which="test", seed=0):
             diameter=diameter, symmetric=dataset.symmetric))
         prep = net.prepare_scene(rec.scene, dataset.model, rec.gt, cfg)
         outputs = net.forward_all(prep, frozen, cfg)
-        _, l_s, l_m, _ = net.scene_losses(prep, outputs, cfg, dataset.symmetric,
-                                          dataset.model.positions)
-        corr_l1s.append(0.5 * (l_s.item() + l_m.item()))
+        _, terms = net.scene_losses(prep, outputs, cfg, dataset.symmetric,
+                                    dataset.model.positions)
+        corr_l1s.append(0.5 * (terms["L_s"] + terms["L_m"]))
     return records, {"corr_l1": float(np.mean(corr_l1s))}, preds
 
 
