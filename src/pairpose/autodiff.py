@@ -5,11 +5,12 @@ any input has ``requires_grad``, a backward closure plus links to the inputs
 that take a gradient; the operation record therefore lives implicitly on the
 tensors themselves and ``backward`` replays it in reverse topological order.
 A closure keeps only what its VJP reads: a dense layer (``dense``, matmul +
-bias + optional relu) is one node holding its output, not three.  The
-operation set is closed and small on purpose: each op has a hand-written
-vector-Jacobian product, and ``grad_check`` verifies all of them against
-central finite differences, falling back to a one-sided difference at a relu
-or l1 kink for at most ``MAX_KINKS`` coordinates.
+bias + optional relu) is one node holding its output, not three, and it
+reads a fused input as column blocks, so no concatenated copy outlives its
+GEMM.  The operation set is closed and small on purpose: each op has a
+hand-written vector-Jacobian product, and ``grad_check`` verifies all of
+them against central finite differences, falling back to a one-sided
+difference at a relu or l1 kink for at most ``MAX_KINKS`` coordinates.
 
 A graph and its tensors form a single-threaded unit of work; parameters are
 plain leaf tensors whose ``values`` the optimizer updates in place.
@@ -148,19 +149,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_v, (a, b), back)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+def _stack_blocks(blocks, n) -> np.ndarray:
+    """The (n, sum of widths) input that column blocks stand for; a 1-row
+    block is repeated over the n rows, as ``repeat_rows`` repeats it."""
+    if len(blocks) == 1:
+        return blocks[0].values
+    return np.hstack([t.values if t.shape[0] == n
+                      else np.repeat(t.values, n, axis=0) for t in blocks])
+
+
+def dense(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """x @ w + b with a single-row bias, then max(., 0) when ``relu``: one
     graph node where matmul, add and relu make three.
 
+    ``x`` is a tensor or a sequence of column blocks that stand for their
+    concatenation; each block has the n rows of the output or a single row,
+    which is repeated over the n rows.  The concatenation exists only while
+    a GEMM reads it: the node keeps the blocks, which the graph holds
+    anyway, and backward rebuilds it for the weight gradient.  The input
+    gradient is one GEMM whose column slices go to the blocks (a per-block
+    GEMM would round differently), and a 1-row block gets its slice's
+    column sum, as ``repeat_rows``' VJP computes it.
+
     The finiteness check runs on the pre-activation, so a non-finite
-    x @ w or bias sum raises even where relu would map it to 0.  The output
-    and the saved inputs are all the node keeps; the VJP rebuilds the relu
-    mask from the output (positive exactly where the pre-activation was).
+    x @ w or bias sum raises even where relu would map it to 0.  The VJP
+    rebuilds the relu mask from the output (positive exactly where the
+    pre-activation was).
     """
-    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
-        raise ShapeMismatch(f"dense {x.shape} x {w.shape} + {b.shape}")
-    z = x.values @ w.values
+    blocks = (x,) if isinstance(x, Tensor) else tuple(x)
+    if not blocks:
+        raise ShapeMismatch("dense needs at least one input block")
+    n = max(t.shape[0] for t in blocks)
+    width = sum(t.shape[1] for t in blocks)
+    if (any(t.shape[0] not in (1, n) for t in blocks) or width != w.shape[0]
+            or b.shape != (1, w.shape[1])):
+        raise ShapeMismatch(f"dense {[t.shape for t in blocks]} x {w.shape} "
+                            f"+ {b.shape}")
+    z = _stack_blocks(blocks, n) @ w.values
     z += b.values
+    offsets = np.cumsum([0] + [t.shape[1] for t in blocks])
+    # the blocks that take a gradient, with their column span
+    spans = [(t, lo, hi) for t, lo, hi in zip(blocks, offsets[:-1], offsets[1:])
+             if t.requires_grad]
 
     def back(g):
         # g is this node's own gradient buffer, so it is masked in place.
@@ -173,12 +203,19 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
             g *= z > 0.0
         if b.requires_grad:
             _accumulate(b, g.sum(axis=0, keepdims=True))
-        if x.requires_grad:
-            _accumulate(x, g @ w.values.T)
         if w.requires_grad:
-            _accumulate(w, x.values.T @ g)
+            # the rebuilt input is freed before the input gradient exists
+            _accumulate(w, _stack_blocks(blocks, n).T @ g)
+        if spans:
+            gx = g @ w.values.T
+            for t, lo, hi in spans:
+                if t.shape[0] == n:
+                    _accumulate(t, gx[:, lo:hi])
+                else:
+                    _accumulate(t, (gx[:, lo:hi] + 0.0).sum(axis=0,
+                                                            keepdims=True))
 
-    out = _result(z, (x, w, b), back)   # checks z before the relu
+    out = _result(z, (*blocks, w, b), back)   # checks z before the relu
     if relu:
         # max(z, 0) may keep a -0.0; adding 0.0 makes it 0.0, so the bits
         # are those of np.where(z > 0, z, 0.0) on finite z
@@ -294,17 +331,18 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean over all elements of the squared difference (1x1 output)."""
     if a.shape != b.shape:
         raise ShapeMismatch(f"mse {a.shape} vs {b.shape}")
-    diff = a.values - b.values
-    size = diff.size
+    size = a.values.size
 
     def back(g):
+        # recomputed: both inputs outlive this node, a saved diff would not
+        diff = a.values - b.values
         scale = 2.0 * g[0, 0] / size
         if a.requires_grad:
             _accumulate(a, scale * diff)
         if b.requires_grad:
             _accumulate(b, -scale * diff)
 
-    return _result(np.mean(diff ** 2), (a, b), back)
+    return _result(np.mean((a.values - b.values) ** 2), (a, b), back)
 
 
 def l1(a: Tensor, b: Tensor) -> Tensor:
@@ -372,9 +410,13 @@ def mean_pose_point_distance(quats: Tensor, trans: Tensor, points: np.ndarray,
     dist = np.linalg.norm(u, axis=2)
 
     def back(g):
-        # dL/du, formed in one (N, K, 3) array
-        s = u / np.maximum(dist, eps)[:, :, None]
-        s[dist < eps] = 0.0
+        # dL/du, formed in u itself: only this VJP reads u and dist, and a
+        # graph is walked once
+        small = dist < eps
+        np.maximum(dist, eps, out=dist)
+        s = u
+        s /= dist[:, :, None]
+        s[small] = 0.0
         s *= g[0, 0] / (n * k)
         _accumulate(trans, s.sum(axis=1))
         # dL/dR, then through R = I + 2w[v]x + 2(v v^T - |v|^2 I)

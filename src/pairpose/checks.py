@@ -3,13 +3,14 @@
 Each builder constructs a small random instance whose loss is smooth at the
 sampled point (values are kept away from relu/l1/|.| kinks), so central
 differences are a valid oracle for the hand-written backward passes and the
-suites resolve no kinks.  The fused ``dense`` op has two suites, without and
-with its relu; both redraw an instance until every pre-activation
-x @ w + b is at least 0.2 from zero, so the relu suite sees both sides of
-the kink but never its neighbourhood.  The end-to-end instance cannot avoid
-kinks: a head relu may sit within ``h`` of zero, where ``grad_check`` falls
-back to a one-sided difference for at most ``autodiff.MAX_KINKS``
-coordinates.
+suites resolve no kinks.  The fused ``dense`` op has three suites: without
+and with its relu, and with its relu over column blocks (one of them a
+repeated row, one a constant); each redraws an instance until every
+pre-activation x @ w + b is at least 0.2 from zero, so the relu suites see
+both sides of the kink but never its neighbourhood.  The end-to-end
+instance cannot avoid kinks: a head relu may sit within ``h`` of zero, where
+``grad_check`` falls back to a one-sided difference for at most
+``autodiff.MAX_KINKS`` coordinates.
 """
 
 from __future__ import annotations
@@ -78,6 +79,21 @@ def _build_dense(rng, relu=False):
 
 def _build_dense_relu(rng):
     return _build_dense(rng, relu=True)
+
+
+def _build_dense_blocks(rng):
+    # column blocks [x | repeated row r | constant c], with the relu and the
+    # redraw of ``_build_dense``
+    c = ad.Tensor(rng.standard_normal((3, 1)))
+    while True:
+        p = _params(rng, x=(3, 2), r=(1, 2), w=(5, 2), b=(1, 2))
+        z = (np.hstack([p["x"].values, np.repeat(p["r"].values, 3, axis=0),
+                        c.values]) @ p["w"].values + p["b"].values)
+        if np.min(np.abs(z)) >= 0.2:
+            break
+    tgt = ad.Tensor(rng.standard_normal((3, 2)))
+    return p, lambda: ad.mse(ad.dense((p["x"], p["r"], c), p["w"], p["b"],
+                                      relu=True), tgt)
 
 
 def _build_row_softmax(rng):
@@ -156,6 +172,7 @@ OP_SUITES = {
     "relu": _build_relu,
     "dense": _build_dense,
     "dense_relu": _build_dense_relu,
+    "dense_blocks": _build_dense_blocks,
     "row_softmax": _build_row_softmax,
     "row_l2_normalize": _build_row_l2_normalize,
     "mean_pool_rows": _build_mean_pool_rows,

@@ -28,6 +28,7 @@ import base64
 import io
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -66,12 +67,152 @@ def _text_file(path) -> io.StringIO:
         raise SchemaViolation(f"{path}: not a UTF-8 text file: {exc}")
 
 
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_JSON_BRACKET_OR_QUOTE = re.compile(r'[][{}"]')
+_JSON_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+# what a number or a literal (true, NaN, ...) may be made of
+_JSON_SCALAR = re.compile(r"[-+.\w]*")
+_JSON_PIECE = 1 << 20   # characters read at a time
+
+
+class _JsonReader:
+    """A JSON file parsed while it is read.  The top-level value and the
+    containers directly in it are taken apart here, member by member, and
+    each value below them is parsed by ``json``'s decoder once the text
+    held contains all of it.  Only text not parsed yet is held, so reading
+    a checkpoint holds a few MB of text, not a string of the whole file
+    (37 MB at paper scale): a block that size comes from fresh pages or
+    from freed heap depending on what the process ran before, and the
+    read's time would depend on that too."""
+
+    def __init__(self, fh, path, object_hook):
+        self.fh, self.path, self.hook = fh, path, object_hook
+        self.decoder = json.JSONDecoder(object_hook=object_hook)
+        self.text, self.pos = "", 0
+        self.dropped = 0    # characters parsed and dropped before self.text
+
+    def error(self, msg, pos) -> SchemaViolation:
+        return SchemaViolation(f"{self.path}: not a JSON file: {msg} at "
+                               f"character {self.dropped + pos}")
+
+    def read_more(self) -> bool:
+        """Append the next piece of the file; False at its end."""
+        piece = self.fh.read(_JSON_PIECE)
+        if not piece:
+            return False
+        self.dropped += self.pos
+        self.text, self.pos = self.text[self.pos:] + piece, 0
+        return True
+
+    def peek(self) -> str:
+        """The next character after whitespace; '' at the end of the file."""
+        while True:
+            self.pos = _JSON_SPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self.read_more():
+                return self.text[self.pos:self.pos + 1]
+
+    def hold_value(self):
+        """Read until the text held contains all of the string, array or
+        object at ``self.pos``, or the file ends.  Each piece is scanned
+        once as it arrives, a string's body with one ``str.find`` for its
+        closing quote, and the pieces are joined once, so a tensor's data is
+        copied once however many pieces it spans."""
+        depth, in_string, odd_run = 0, False, False
+        text, at = self.text, self.pos
+        pieces = []
+        while True:
+            found = False
+            if in_string:
+                end = text.find('"', at)
+                stop = len(text) if end < 0 else end
+                start = stop
+                while start > at and text[start - 1] == "\\":
+                    start -= 1
+                # an odd run of backslashes escapes the character after it
+                odd_run = (stop - start) % 2 == 1
+                if end >= 0:
+                    found, at, in_string = True, end + 1, odd_run
+            else:
+                match = _JSON_BRACKET_OR_QUOTE.search(text, at)
+                if match is not None:
+                    found, at = True, match.end()
+                    in_string = match.group() == '"'
+                    depth += _JSON_DEPTH_STEP.get(match.group(), 0)
+            if found:
+                if depth <= 0 and not in_string:
+                    break
+                continue
+            piece = self.fh.read(_JSON_PIECE)
+            if not piece:
+                break
+            pieces.append(piece)
+            text, at = piece, 1 if in_string and odd_run else 0
+        if pieces:
+            self.dropped += self.pos
+            self.text = "".join([self.text[self.pos:], *pieces])
+            self.pos = 0
+
+    def value(self):
+        """The next value, parsed whole by the decoder."""
+        if self.peek() in ('"', "[", "{"):
+            self.hold_value()
+        else:
+            # a number at the end of the text held may go on in the file
+            while (_JSON_SCALAR.match(self.text, self.pos).end()
+                   == len(self.text) and self.read_more()):
+                pass
+        try:
+            value, self.pos = self.decoder.raw_decode(self.text, self.pos)
+        except json.JSONDecodeError as exc:
+            raise self.error(exc.msg, exc.pos)
+        return value
+
+    def parse(self, depth=0):
+        """The next value; an object or array at depth 0 or 1 is taken apart
+        here.  ``object_hook`` sees each object, as in ``json.loads``."""
+        opening = self.peek()
+        if depth == 2 or opening not in ("{", "["):
+            return self.value()
+        closing = "}" if opening == "{" else "]"
+        self.pos += 1
+        items = {} if opening == "{" else []
+        if self.peek() == closing:
+            self.pos += 1
+        else:
+            while True:
+                if opening == "[":
+                    items.append(self.parse(depth + 1))
+                else:
+                    if self.peek() != '"':
+                        raise self.error("Expecting property name enclosed in "
+                                         "double quotes", self.pos)
+                    key = self.value()
+                    if self.peek() != ":":
+                        raise self.error("Expecting ':' delimiter", self.pos)
+                    self.pos += 1
+                    items[key] = self.parse(depth + 1)
+                sep = self.peek()
+                if sep not in (",", closing):
+                    raise self.error("Expecting ',' delimiter", self.pos)
+                self.pos += 1
+                if sep == closing:
+                    break
+        if opening == "{" and self.hook is not None:
+            return self.hook(items)
+        return items
+
+
 def _load_json(path, object_hook=None):
-    """The parsed JSON file; unparseable input is a SchemaViolation naming
-    the file."""
+    """The parsed JSON file, read and parsed piece by piece (``_JsonReader``);
+    unparseable input is a SchemaViolation naming the file."""
     try:
-        return json.loads(_read_text(path), object_hook=object_hook)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        with open(path) as fh:
+            reader = _JsonReader(fh, path, object_hook)
+            value = reader.parse()
+            if reader.peek():
+                raise reader.error("Extra data", reader.pos)
+            return value
+    except (UnicodeDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"{path}: not a JSON file: {exc}")
 
 
@@ -684,6 +825,15 @@ def load_dataset(in_dir) -> Dataset:
         scene_spec = _spec_from_obj(SceneSpec, manifest["scene"], path,
                                     skip="seed")
         model = read_ply(os.path.join(in_dir, "model.ply"))
+        if len(model) != shape.n:
+            raise SchemaViolation(f"{path}: shape.n is {shape.n} but model.ply "
+                                  f"has {len(model)} points")
+        # the flag picks the ADD or ADD-S loss and metric
+        if manifest["symmetric"] is not shape.symmetric:
+            raise SchemaViolation(f"{path}: symmetric must be "
+                                  f"{str(shape.symmetric).lower()} for shape "
+                                  f"kind {shape.kind!r}, got "
+                                  f"{manifest['symmetric']!r:.40}")
         records, train_idx, test_idx = [], [], []
         for i, entry in enumerate(manifest["scenes"]):
             scene = read_ply(os.path.join(in_dir, entry["file"]))
@@ -694,7 +844,7 @@ def load_dataset(in_dir) -> Dataset:
         return Dataset(model=model.with_frame("model"), records=tuple(records),
                        train_indices=tuple(train_idx),
                        test_indices=tuple(test_idx),
-                       symmetric=bool(manifest["symmetric"]),
+                       symmetric=shape.symmetric,
                        shape_spec=shape, scene_spec=scene_spec)
     except (LookupError, TypeError, ValueError, OSError) as exc:
         raise SchemaViolation(f"{path}: {exc}")

@@ -213,7 +213,7 @@ def _dense(x, params, name, relu=False):
 def _psn_trunk_forward(x, params, cfg):
     h0 = _dense(x, params, "psn.t0", relu=True)
     h1 = _dense(h0, params, "psn.t1", relu=True)
-    h = ad.concat_cols(h0, h1) if len(cfg.psn_trunk) > 2 else h1
+    h = (h0, h1) if len(cfg.psn_trunk) > 2 else h1   # local fusion blocks
     for i in range(2, len(cfg.psn_trunk)):
         h = _dense(h, params, f"psn.t{i}", relu=True)
     return h
@@ -221,19 +221,17 @@ def _psn_trunk_forward(x, params, cfg):
 
 def psn_forward(scene_x, model_x, params, cfg: NetConfig):
     """Weight-shared per-point features for both clouds; each side's fused
-    feature concatenates an exterior global feature pooled from the other
-    cloud, and output rows are L2-normalized."""
+    feature appends an exterior global feature pooled from the other cloud
+    (a repeated column block of psn.out's input), and output rows are
+    L2-normalized."""
     if scene_x.shape != model_x.shape:
         raise SizeMismatch(f"psn inputs {scene_x.shape} vs {model_x.shape}")
-    n = scene_x.shape[0]
     hs = _psn_trunk_forward(scene_x, params, cfg)
     hm = _psn_trunk_forward(model_x, params, cfg)
     ext_for_scene = _dense(ad.mean_pool_rows(hm), params, "psn.ext", relu=True)
     ext_for_model = _dense(ad.mean_pool_rows(hs), params, "psn.ext", relu=True)
-    f_sa = ad.row_l2_normalize(_dense(
-        ad.concat_cols(hs, ad.repeat_rows(ext_for_scene, n)), params, "psn.out"))
-    f_ma = ad.row_l2_normalize(_dense(
-        ad.concat_cols(hm, ad.repeat_rows(ext_for_model, n)), params, "psn.out"))
+    f_sa = ad.row_l2_normalize(_dense((hs, ext_for_scene), params, "psn.out"))
+    f_ma = ad.row_l2_normalize(_dense((hm, ext_for_model), params, "psn.out"))
     return f_sa, f_ma
 
 
@@ -254,6 +252,8 @@ def _feat_side(x, params, prefix, cfg):
     for i in range(len(cfg.feat_widths)):
         h = _dense(h, params, f"{prefix}.l{i}", relu=True)
     g = _dense(ad.mean_pool_rows(h), params, f"{prefix}.glob", relu=True)
+    # a real concatenation, not blocks: its 3-4 consumers' gradients must be
+    # summed before repeat_rows' row sum to keep the bits of training
     return ad.concat_cols(h, ad.repeat_rows(g, x.shape[0]))
 
 
@@ -270,17 +270,17 @@ def feature_forward(scene_x, model_x, params, cfg: NetConfig):
 def _regressor_trunk(f, decoded, attn_rows, exterior, params, prefix,
                      cfg: NetConfig):
     """Shared head wiring: [decoded | attention rows | pooled opposite decode
-    | raw feature short circuit] through the hidden chain."""
+    | raw feature short circuit] through the hidden chain; the first hidden
+    layer reads the four as column blocks, the single pooled row repeated."""
     n = f.shape[0]
-    parts = [decoded]
+    h = [decoded]
     if attn_rows is not None:
         if attn_rows.shape[0] != n:
             raise SizeMismatch(f"attention rows {attn_rows.shape} vs {n} points")
-        parts.append(attn_rows)
+        h.append(attn_rows)
     if exterior is not None:
-        parts.append(ad.repeat_rows(exterior, n))
-    parts.append(f)
-    h = ad.concat_cols(*parts)
+        h.append(exterior)
+    h.append(f)
     for i in range(len(cfg.head_hidden)):
         h = _dense(h, params, f"{prefix}.h{i}", relu=True)
     return h
@@ -304,7 +304,8 @@ def bidirectional_forward(f_s, f_m, head_attn, params, cfg: NetConfig):
     dec_m = _dense(f_m, params, "corr_m.dec", relu=True)
     attn_s = attn_m = None
     if cfg.attention_for_match:
-        attn_s, attn_m = head_attn, ad.transpose(head_attn)
+        # the model head's columns, as a view: the map takes no gradient
+        attn_s, attn_m = head_attn, ad.Tensor(head_attn.values.T)
     h_s = _regressor_trunk(f_s, dec_s, attn_s, ad.mean_pool_rows(dec_m),
                            params, "corr_s", cfg)
     h_m = _regressor_trunk(f_m, dec_m, attn_m, ad.mean_pool_rows(dec_s),

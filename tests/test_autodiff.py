@@ -262,6 +262,12 @@ class TestGraphRelease:
         _, peak = self.step_memory_mb(reference_backward)
         assert peak >= self.PEAK_MB, peak
 
+    def test_forward_graph_holds_no_concatenated_input(self):
+        # measured 12.4 MB; the dense layers' inputs stored as concat_cols
+        # nodes (and mse's saved difference) made it 18.8 MB
+        graph, _ = self.step_memory_mb(ad.backward)
+        assert graph < 15.0, graph
+
 
 def dense_chain(x, w, b, relu=False):
     """The three-node layer that ``dense`` replaces."""
@@ -353,6 +359,98 @@ class TestDense:
                          (w, np.zeros((1, 3))), (w, np.zeros((4, 2)))):
             with pytest.raises(ShapeMismatch):
                 ad.dense(x, bad_w, ad.Tensor(b))
+
+
+# the dense layers that read column blocks in net, as (n, [(width, rows,
+# takes_grad)], out width) at the acceptance toy widths (N = 128), the
+# benchmark's smoke widths (N = 32) and the published widths (N = 1000):
+# the PSN trunk's local fusion, psn.out's (features, exterior row) and a
+# correspondence head's [decoded | attention | pooled row | features].
+# A GEMM per block would pass at these shapes; the last two are shapes
+# where it rounds differently from a slice of one GEMM (OpenBLAS 0.3.31,
+# one thread), for the input gradient and for the weight gradient.
+BLOCK_LAYERS = {
+    "toy-trunk": (128, [(16, 128, True), (32, 128, True)], 64),
+    "toy-psn-out": (128, [(64, 128, True), (8, 1, True)], 32),
+    "toy-head": (128, [(64, 128, True), (128, 128, False), (64, 1, True),
+                       (128, 128, True)], 96),
+    "smoke-trunk": (32, [(8, 32, True), (8, 32, True)], 16),
+    "smoke-psn-out": (32, [(16, 32, True), (4, 1, True)], 8),
+    "smoke-head": (32, [(8, 32, True), (32, 32, False), (8, 1, True),
+                        (24, 32, True)], 8),
+    "paper-trunk": (1000, [(64, 1000, True), (128, 1000, True)], 256),
+    "paper-psn-out": (1000, [(1024, 1000, True), (24, 1, True)], 512),
+    "paper-head": (1000, [(256, 1000, True), (1000, 1000, False),
+                          (256, 1, True), (512, 1000, True)], 256),
+    "split-x-grad": (8, [(64, 8, True), (128, 8, True)], 64),
+    "split-w-grad": (1000, [(8, 1000, True), (8, 1000, True)], 64),
+}
+
+
+class TestDenseBlocks:
+    """``dense`` over column blocks against ``dense`` over their
+    ``concat_cols`` (1-row blocks through ``repeat_rows``), bit for bit."""
+
+    @staticmethod
+    def run(n, values, takes_grad, w, b, target, relu, as_blocks):
+        blocks = [ad.Tensor(v, requires_grad=g)
+                  for v, g in zip(values, takes_grad)]
+        w, b = (ad.Tensor(w, requires_grad=True),
+                ad.Tensor(b, requires_grad=True))
+        if as_blocks:
+            x = blocks
+        else:
+            x = ad.concat_cols(*(t if t.shape[0] == n else ad.repeat_rows(t, n)
+                                 for t in blocks))
+        out = ad.dense(x, w, b, relu=relu)
+        # the last block feeds a second consumer, as a head's features do
+        loss = ad.add(ad.mse(out, ad.Tensor(target)),
+                      ad.mse(blocks[-1], ad.Tensor(np.zeros(values[-1].shape))))
+        ad.backward(loss)
+        return [out.values] + [t.grad for t in (*blocks, w, b)]
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("layer", sorted(BLOCK_LAYERS))
+    def test_equals_dense_over_the_concatenation(self, layer, relu):
+        n, spec, out_w = BLOCK_LAYERS[layer]
+        rng = np.random.default_rng(sorted(BLOCK_LAYERS).index(layer))
+        values = [rng.standard_normal((rows, w)) for w, rows, _ in spec]
+        takes_grad = [g for _, _, g in spec]
+        width = sum(w for w, _, _ in spec)
+        args = (n, values, takes_grad,
+                rng.standard_normal((width, out_w)) / np.sqrt(width),
+                rng.standard_normal((1, out_w)),
+                rng.standard_normal((n, out_w)), relu)
+        got = self.run(*args, as_blocks=True)
+        expected = self.run(*args, as_blocks=False)
+        for i, (a, e) in enumerate(zip(got, expected)):
+            if e is None:
+                assert a is None, i
+            else:
+                assert a.shape == e.shape and a.tobytes() == e.tobytes(), i
+
+    def test_node_keeps_the_blocks_not_their_concatenation(self):
+        rng = np.random.default_rng(53)
+        h = ad.Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+        row = ad.Tensor(rng.standard_normal((1, 2)), requires_grad=True)
+        const = ad.Tensor(rng.standard_normal((6, 3)))
+        w = ad.Tensor(rng.standard_normal((9, 5)), requires_grad=True)
+        b = ad.Tensor(rng.standard_normal((1, 5)), requires_grad=True)
+        out = ad.dense((h, row, const), w, b, relu=True)
+        assert out._parents == (h, row, w, b)
+        held = [c.cell_contents for c in out._backward.__closure__]
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays] == [(6, 5)]   # the output only
+
+    @pytest.mark.parametrize("shapes, w_rows, b_cols", [
+        ([(4, 3), (2, 2)], 5, 2), ([(4, 3), (4, 3)], 5, 2),
+        ([(4, 3), (1, 2)], 5, 3), ([], 5, 2)],
+        ids=["rows", "width", "bias", "empty"])
+    def test_shape_mismatch(self, shapes, w_rows, b_cols):
+        blocks = [ad.Tensor(np.zeros(sh)) for sh in shapes]
+        with pytest.raises(ShapeMismatch):
+            ad.dense(blocks, ad.Tensor(np.zeros((w_rows, 2))),
+                     ad.Tensor(np.zeros((1, b_cols))))
 
 
 class TestGradCheck:
@@ -594,6 +692,25 @@ class TestPoseDistanceKernel:
             quats *= rng.uniform(0.3, 3.0, size=(n, 1))
             self.compare(quats, trans, points, targets,
                          rng.integers(0, k, size=(n, k)))
+
+    @pytest.mark.parametrize("selected", [False, True], ids=["identity", "sel"])
+    def test_vjp_allocates_no_candidate_by_point_array(self, selected):
+        # dL/du is formed in the forward pass's (N, K, 3) array; measured
+        # 0.11 MB at N = K = 200, against 1.35 MB with a fresh one
+        rng = np.random.default_rng(45)
+        n = k = 200
+        quats, trans, points, targets = selection_instance(rng, n, k)
+        sel = rng.integers(0, k, size=(n, k)) if selected else None
+        q = ad.Tensor(quats, requires_grad=True)
+        t = ad.Tensor(trans, requires_grad=True)
+        loss = ad.mean_pose_point_distance(q, t, points, targets, sel=sel)
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * 3 * 8, peak
 
     def test_point_at_zero_distance(self):
         rng = np.random.default_rng(44)

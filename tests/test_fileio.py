@@ -1,7 +1,9 @@
 import base64
+import io
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -530,6 +532,101 @@ class TestCheckpointReaderFuzz:
         self.read(path, json.dumps(obj).encode())
 
 
+class _Trickle(io.StringIO):
+    """Text that comes back at most ``k`` characters per read."""
+
+    def __init__(self, text, k):
+        super().__init__(text)
+        self.k = k
+
+    def read(self, size=-1):
+        return super().read(self.k if size < 0 else min(size, self.k))
+
+
+def _parse_in_pieces(text, k, object_hook=None):
+    reader = fileio._JsonReader(_Trickle(text, k), "x.json", object_hook)
+    value = reader.parse()
+    if reader.peek():
+        raise reader.error("Extra data", reader.pos)
+    return value
+
+
+def _json_loads_outcome(text):
+    try:
+        return json.dumps(json.loads(text))
+    except (json.JSONDecodeError, RecursionError):
+        return "error"
+
+
+class TestJsonReader:
+    """``_load_json`` parses a file while it reads it: whatever the read
+    boundaries, the result is ``json.loads``'s, and no string of the file's
+    size is held."""
+
+    @FUZZ
+    @given(value=JSON_VALUES, indent=st.sampled_from([None, 1]),
+           k=st.integers(1, 7))
+    def test_pieces_parse_as_json_loads(self, value, indent, k):
+        text = json.dumps(value, indent=indent)
+        # compared as text, where NaN equals NaN and 1 differs from 1.0
+        assert json.dumps(_parse_in_pieces(text, k)) == json.dumps(value)
+
+    @FUZZ
+    @given(value=JSON_VALUES, data=st.data(), k=st.integers(1, 7))
+    def test_damaged_text_fails_where_json_loads_fails(self, value, data, k):
+        text = json.dumps({"a": [value, 1.5e-07]})
+        edits = data.draw(st.lists(st.tuples(
+            st.integers(0, len(text) - 1),
+            st.sampled_from(list(' ,:{}[]"e.-1\\'))), min_size=1, max_size=3))
+        for index, char in edits:
+            text = text[:index] + char + text[index + 1:]
+        text = text[:data.draw(st.integers(0, len(text)))]
+        try:
+            got = json.dumps(_parse_in_pieces(text, k))
+        except (SchemaViolation, RecursionError):
+            got = "error"
+        assert got == _json_loads_outcome(text)
+
+    def test_object_hook_sees_each_object(self):
+        text = json.dumps({"a": {"data": 1}, "b": [{"data": 2}, {}],
+                           "c": {"d": {"data": [{"data": 3}]}}})
+
+        def hook(obj):
+            return ("seen", sorted(obj.items()))
+
+        assert (_parse_in_pieces(text, 2, hook)
+                == json.loads(text, object_hook=hook))
+
+    def test_error_names_the_file_and_the_character(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"a": [1, 2,, 3]}')
+        with pytest.raises(SchemaViolation,
+                           match=r"bad.json: not a JSON file: Expecting value "
+                                 r"at character 12"):
+            fileio._load_json(path)
+
+    def test_holds_no_file_sized_text(self, tmp_path):
+        # 32 entries of 1 MB; the hook drops each entry once it is parsed
+        entry = json.dumps({"data": "A" * (1 << 20)})
+        path = tmp_path / "big.json"
+        path.write_text('{"tensors": [' + ", ".join([entry] * 32) + "]}")
+        size = path.stat().st_size
+
+        def drop_data(obj):
+            return len(obj["data"]) if "data" in obj else obj
+
+        tracemalloc.start()
+        try:
+            value = fileio._load_json(path, object_hook=drop_data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == {"tensors": [1 << 20] * 32}
+        # a string of the whole text alone would be the file's size
+        assert peak < size, f"peak {peak / 1e6:.1f} MB for a " \
+                            f"{size / 1e6:.1f} MB file"
+
+
 def damaged(data, content: bytes) -> bytes:
     """Up to four byte substitutions of content, then maybe a truncation."""
     content = bytearray(content)
@@ -688,6 +785,23 @@ class TestDatasetDir:
         assert back.scene_spec == SceneSpec(
             rotation="limited", max_angle=0.5, viewpoint=(1.0, 1.0, 1.0),
             translation=((-0.05,) * 3, (0.05,) * 3))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda o: o["shape"].update(n=99),
+         "shape.n is 99 but model.ply has 16 points"),
+        (lambda o: o.update(symmetric=True),
+         "symmetric must be false for shape kind 'box_with_bump'"),
+        (lambda o: o.update(symmetric=0),
+         "symmetric must be false"),
+    ], ids=["n_not_the_model_size", "symmetric_contradicts_kind",
+            "symmetric_not_a_bool"])
+    def test_manifest_must_agree_with_the_model_and_the_shape_kind(
+            self, tmp_path, edit, message):
+        obj = json.loads(small_dataset_dir(tmp_path))
+        edit(obj)
+        (tmp_path / "manifest.json").write_text(json.dumps(obj))
+        with pytest.raises(SchemaViolation, match=f"manifest.json: {message}"):
+            fileio.load_dataset(tmp_path)
 
 
 def small_dataset_dir(path):

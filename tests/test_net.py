@@ -511,12 +511,14 @@ def same_correspondences(a, b):
 
 
 class Counting:
-    """Monkeypatches net.<name> with a wrapper that counts its calls."""
+    """Monkeypatches module.<name> (net by default) with a wrapper that
+    counts its calls."""
 
-    def __init__(self, monkeypatch, *names):
+    def __init__(self, monkeypatch, *names, module=net):
         self.calls = dict.fromkeys(names, 0)
         for name in names:
-            monkeypatch.setattr(net, name, self._wrap(name, getattr(net, name)))
+            monkeypatch.setattr(module, name,
+                                self._wrap(name, getattr(module, name)))
 
     def _wrap(self, name, fn):
         def counted(*args, **kwargs):
@@ -626,6 +628,18 @@ class TestSinglePassEvaluation:
         calls = Counting(monkeypatch, "attention_target").calls
         net.train(ds, cfg, seed=0)
         assert calls["attention_target"] == targets
+
+    def test_copy_ops_per_forward_pass(self, monkeypatch):
+        # the dense layers read their fused inputs as column blocks; only
+        # the two extractors' [features | global row] are concatenated, and
+        # only the attention logits transpose
+        ds = tiny_dataset(n_scenes=1, n=24, seed=50)
+        prep = net.scene_inputs(ds.records[0].scene, ds.model)
+        params = net.init_params(TINY, 24, np.random.default_rng(51))
+        calls = Counting(monkeypatch, "concat_cols", "repeat_rows",
+                         "transpose", module=ad).calls
+        net.forward_all(prep, params, TINY)
+        assert calls == {"concat_cols": 2, "repeat_rows": 2, "transpose": 1}
 
     def test_traced_names_are_net_attributes(self):
         # the benchmark's tracer looks these up on net with getattr
