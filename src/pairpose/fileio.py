@@ -1,19 +1,18 @@
 """File formats and configuration.
 
-Everything is ASCII and written through ``repr`` for floats, so a write/read
-round trip is bit-exact and output files diff cleanly across runs.  The one
-exception is a checkpoint's tensors: they are base64 of their float64 bytes,
-which is also bit-exact, half the size and about ten times faster to write
-and read than decimal text.  Formats:
+Text formats are ASCII and write floats through ``repr``, so a write/read
+round trip is bit-exact and output files diff cleanly across runs.  The
+checkpoint is the one binary format: its tensors are raw float64 bytes,
+which is also bit-exact.  Formats:
 
 * PLY (ascii 1.0, double x y z nx ny nz) for oriented clouds;
 * pose.v1 JSON {"format", "q": [w,x,y,z], "t": [x,y,z]}, pose sets as JSON
   arrays of the same plus "provenance";
 * matrix.v1: "rows cols" header line, then one whitespace row per line;
-* checkpoint.v4 JSON: flat config + named tensors, each tensor's "data" the
-  base64 of its C-order little-endian float64 bytes; shapes validated on load
-  (checkpoint.v1, decimal values, and checkpoints v2 and v3, whose configs
-  hold keys that are now constants, are rejected);
+* checkpoint.v5: one JSON header line (format, point count, flat config and
+  each tensor's [name, shape]), then each tensor's C-order little-endian
+  float64 bytes; shapes are validated on load, and the single-JSON-object
+  checkpoints v1 to v4 are rejected;
 * corr.v1 JSON: correspondence sets (source/target positions + normals);
 * dataset.v1: a directory of scene PLYs plus a manifest.
 
@@ -24,11 +23,9 @@ checked the same way.
 
 from __future__ import annotations
 
-import base64
 import io
 import json
 import math
-import re
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -50,169 +47,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_text(path) -> str:
-    """The whole file, read in 1 MB pieces: the pieces fit into heap memory
-    freed earlier, where one whole-file read needs two fresh blocks of the
-    file's size at once (its bytes and their decoded string)."""
-    with open(path) as fh:
-        return "".join(iter(lambda: fh.read(1 << 20), ""))
-
-
 def _text_file(path) -> io.StringIO:
     """The file's text as a file object; bytes that are not UTF-8 are a
     SchemaViolation naming the file."""
     try:
-        return io.StringIO(_read_text(path))
+        with open(path, encoding="utf-8") as fh:
+            return io.StringIO(fh.read())
     except UnicodeDecodeError as exc:
         raise SchemaViolation(f"{path}: not a UTF-8 text file: {exc}")
 
 
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
-_JSON_BRACKET_OR_QUOTE = re.compile(r'[][{}"]')
-_JSON_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
-# what a number or a literal (true, NaN, ...) may be made of
-_JSON_SCALAR = re.compile(r"[-+.\w]*")
-_JSON_PIECE = 1 << 20   # characters read at a time
-
-
-class _JsonReader:
-    """A JSON file parsed while it is read.  The top-level value and the
-    containers directly in it are taken apart here, member by member, and
-    each value below them is parsed by ``json``'s decoder once the text
-    held contains all of it.  Only text not parsed yet is held, so reading
-    a checkpoint holds a few MB of text, not a string of the whole file
-    (37 MB at paper scale): a block that size comes from fresh pages or
-    from freed heap depending on what the process ran before, and the
-    read's time would depend on that too."""
-
-    def __init__(self, fh, path, object_hook):
-        self.fh, self.path, self.hook = fh, path, object_hook
-        self.decoder = json.JSONDecoder(object_hook=object_hook)
-        self.text, self.pos = "", 0
-        self.dropped = 0    # characters parsed and dropped before self.text
-
-    def error(self, msg, pos) -> SchemaViolation:
-        return SchemaViolation(f"{self.path}: not a JSON file: {msg} at "
-                               f"character {self.dropped + pos}")
-
-    def read_more(self) -> bool:
-        """Append the next piece of the file; False at its end."""
-        piece = self.fh.read(_JSON_PIECE)
-        if not piece:
-            return False
-        self.dropped += self.pos
-        self.text, self.pos = self.text[self.pos:] + piece, 0
-        return True
-
-    def peek(self) -> str:
-        """The next character after whitespace; '' at the end of the file."""
-        while True:
-            self.pos = _JSON_SPACE.match(self.text, self.pos).end()
-            if self.pos < len(self.text) or not self.read_more():
-                return self.text[self.pos:self.pos + 1]
-
-    def hold_value(self):
-        """Read until the text held contains all of the string, array or
-        object at ``self.pos``, or the file ends.  Each piece is scanned
-        once as it arrives, a string's body with one ``str.find`` for its
-        closing quote, and the pieces are joined once, so a tensor's data is
-        copied once however many pieces it spans."""
-        depth, in_string, odd_run = 0, False, False
-        text, at = self.text, self.pos
-        pieces = []
-        while True:
-            found = False
-            if in_string:
-                end = text.find('"', at)
-                stop = len(text) if end < 0 else end
-                start = stop
-                while start > at and text[start - 1] == "\\":
-                    start -= 1
-                # an odd run of backslashes escapes the character after it
-                odd_run = (stop - start) % 2 == 1
-                if end >= 0:
-                    found, at, in_string = True, end + 1, odd_run
-            else:
-                match = _JSON_BRACKET_OR_QUOTE.search(text, at)
-                if match is not None:
-                    found, at = True, match.end()
-                    in_string = match.group() == '"'
-                    depth += _JSON_DEPTH_STEP.get(match.group(), 0)
-            if found:
-                if depth <= 0 and not in_string:
-                    break
-                continue
-            piece = self.fh.read(_JSON_PIECE)
-            if not piece:
-                break
-            pieces.append(piece)
-            text, at = piece, 1 if in_string and odd_run else 0
-        if pieces:
-            self.dropped += self.pos
-            self.text = "".join([self.text[self.pos:], *pieces])
-            self.pos = 0
-
-    def value(self):
-        """The next value, parsed whole by the decoder."""
-        if self.peek() in ('"', "[", "{"):
-            self.hold_value()
-        else:
-            # a number at the end of the text held may go on in the file
-            while (_JSON_SCALAR.match(self.text, self.pos).end()
-                   == len(self.text) and self.read_more()):
-                pass
-        try:
-            value, self.pos = self.decoder.raw_decode(self.text, self.pos)
-        except json.JSONDecodeError as exc:
-            raise self.error(exc.msg, exc.pos)
-        return value
-
-    def parse(self, depth=0):
-        """The next value; an object or array at depth 0 or 1 is taken apart
-        here.  ``object_hook`` sees each object, as in ``json.loads``."""
-        opening = self.peek()
-        if depth == 2 or opening not in ("{", "["):
-            return self.value()
-        closing = "}" if opening == "{" else "]"
-        self.pos += 1
-        items = {} if opening == "{" else []
-        if self.peek() == closing:
-            self.pos += 1
-        else:
-            while True:
-                if opening == "[":
-                    items.append(self.parse(depth + 1))
-                else:
-                    if self.peek() != '"':
-                        raise self.error("Expecting property name enclosed in "
-                                         "double quotes", self.pos)
-                    key = self.value()
-                    if self.peek() != ":":
-                        raise self.error("Expecting ':' delimiter", self.pos)
-                    self.pos += 1
-                    items[key] = self.parse(depth + 1)
-                sep = self.peek()
-                if sep not in (",", closing):
-                    raise self.error("Expecting ',' delimiter", self.pos)
-                self.pos += 1
-                if sep == closing:
-                    break
-        if opening == "{" and self.hook is not None:
-            return self.hook(items)
-        return items
-
-
-def _load_json(path, object_hook=None):
-    """The parsed JSON file, read and parsed piece by piece (``_JsonReader``);
-    unparseable input is a SchemaViolation naming the file."""
+def _load_json(path):
+    """The parsed JSON file; unparseable input is a SchemaViolation naming
+    the file."""
     try:
-        with open(path) as fh:
-            reader = _JsonReader(fh, path, object_hook)
-            value = reader.parse()
-            if reader.peek():
-                raise reader.error("Extra data", reader.pos)
-            return value
-    except (UnicodeDecodeError, RecursionError) as exc:
+        return json.load(_text_file(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"{path}: not a JSON file: {exc}")
 
 
@@ -633,96 +483,101 @@ def _config_from_obj(obj, path) -> Config:
         raise SchemaViolation(f"{path}: invalid configuration: {exc}")
 
 
+# each is one JSON object, whose text starts '{"format": "checkpoint.vN"'
+_OLD_CHECKPOINTS = ("checkpoint.v1", "checkpoint.v2", "checkpoint.v3",
+                    "checkpoint.v4")
+# bytes a header line may take: a paper-scale header takes 2.5 KB, and a
+# v4 file is one line of the whole file's size
+_HEADER_LIMIT = 1 << 20
+
+
 def write_checkpoint(path, params: dict, cfg: Config, n_points: int):
-    """Write checkpoint.v4, byte for byte what ``json.dump`` of the whole
-    object would write.  Each tensor's ``data`` is the base64 of its C-order
-    little-endian float64 bytes.  The header and then each tensor entry go
-    through ``json.dumps`` (the C encoder; ``json.dump`` runs the pure-Python
-    one), one tensor at a time so only one tensor's encoding exists at once."""
+    """Write checkpoint.v5: one line of ``json.dumps`` holding the format,
+    ``n_points``, the config and the ``[name, shape]`` of each tensor in
+    sorted-name order, then each tensor's C-order little-endian float64
+    bytes in the same order."""
+    tensors = sorted(params.items())
     header = json.dumps({
-        "format": "checkpoint.v4",
+        "format": "checkpoint.v5",
         "n_points": n_points,
         "config": _config_to_obj(cfg),
+        "tensors": [[name, list(p.values.shape)] for name, p in tensors],
     })
-    with open(path, "w") as fh:
-        fh.write(header[:-1] + ', "tensors": [')
-        for i, (name, p) in enumerate(sorted(params.items())):
-            if i:
-                fh.write(", ")
-            data = base64.b64encode(p.values.astype("<f8", copy=False).tobytes())
-            fh.write(json.dumps({"name": name, "shape": list(p.values.shape),
-                                 "data": data.decode("ascii")}))
-        fh.write("]}\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for _, p in tensors:
+            fh.write(np.ascontiguousarray(p.values, dtype="<f8"))
 
 
-def _decode_tensor(obj, path):
-    """``object_hook`` for checkpoint JSON: an object with ``data`` is a
-    tensor entry, and its base64 becomes a writable float64 array of the
-    entry's shape as soon as the object is parsed, so the encoded strings of
-    the whole file never exist at once."""
-    if "data" not in obj:
-        return obj
-    name, shape, data = obj.get("name"), obj.get("shape"), obj["data"]
-    where = f"{path}: tensor {name!r:.60}"
-    if not (isinstance(shape, list)
-            and all(type(d) is int and d >= 0 for d in shape)):
-        raise SchemaViolation(f"{where} has a bad shape {shape!r:.60}")
-    if not isinstance(data, str):
-        raise SchemaViolation(f"{where} data must be a base64 string")
+def _read_header(fh, path) -> dict:
+    """The parsed header line of checkpoint.v5; the older formats are
+    recognized from their first bytes and rejected."""
+    line = fh.readline(_HEADER_LIMIT)
+    for fmt in _OLD_CHECKPOINTS:
+        if line.startswith(f'{{"format": "{fmt}"'.encode()):
+            raise SchemaViolation(f"{path}: {fmt} is no longer read; "
+                                  f"retrain the model to write checkpoint.v5")
+    if not line.endswith(b"\n"):
+        raise SchemaViolation(f"{path}: expected checkpoint.v5, which starts "
+                              f"with a JSON header line")
     try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError as exc:   # binascii.Error, or a non-ASCII character
-        raise SchemaViolation(f"{where} data is not base64: {exc}")
-    nbytes = 8 * math.prod(shape)
-    if len(raw) != nbytes:
-        raise SchemaViolation(f"{where} has {len(raw)} bytes of data, shape "
-                              f"{shape} needs {nbytes}")
-    values = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise SchemaViolation(f"{where} has a non-finite value")
-    obj["data"] = values
-    return obj
+        header = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:   # bad JSON or UTF-8
+        raise SchemaViolation(f"{path}: not a checkpoint header: {exc}")
+    if not isinstance(header, dict) or header.get("format") != "checkpoint.v5":
+        raise SchemaViolation(f"{path}: expected checkpoint.v5")
+    return header
 
 
 def read_checkpoint(path):
-    """Load (params, config, n_points) from checkpoint.v4; tensor names and
-    shapes must match what the stored config implies."""
-    obj = _load_json(path, object_hook=lambda o: _decode_tensor(o, path))
-    fmt = obj.get("format") if isinstance(obj, dict) else None
-    if fmt in ("checkpoint.v1", "checkpoint.v2", "checkpoint.v3"):
-        raise SchemaViolation(f"{path}: {fmt} is no longer read; "
-                              f"retrain the model to write checkpoint.v4")
-    if fmt != "checkpoint.v4":
-        raise SchemaViolation(f"{path}: expected checkpoint.v4")
-    cfg = _config_from_obj(obj.get("config", {}), path)
-    n_points = obj.get("n_points")
-    if type(n_points) is not int or n_points < 1:
-        raise SchemaViolation(f"{path}: bad n_points")
-    expected = expected_param_shapes(cfg.net_config(), n_points)
-    tensors = obj.get("tensors")
-    if not isinstance(tensors, list):
-        raise SchemaViolation(f"{path}: tensors must be a JSON array")
-    params = {}
-    for i, entry in enumerate(tensors):
-        if not isinstance(entry, dict):
-            raise SchemaViolation(f"{path}: tensor entry {i} is not an object")
-        name = entry.get("name")
-        if not isinstance(name, str) or name not in expected:
-            raise SchemaViolation(f"{path}: unexpected tensor {name!r:.60}")
-        if name in params:
-            raise SchemaViolation(f"{path}: duplicate tensor {name!r}")
-        shape = entry.get("shape")
-        if not isinstance(shape, list) or tuple(shape) != expected[name]:
-            raise SchemaViolation(
-                f"{path}: tensor {name!r} has shape {shape!r:.60}, config "
-                f"implies {expected[name]}")
-        values = entry.get("data")
-        if not isinstance(values, np.ndarray):
-            raise SchemaViolation(f"{path}: tensor {name!r} has no data")
-        params[name] = ad.Tensor(values, requires_grad=True)
-    missing = set(expected) - set(params)
-    if missing:
-        raise SchemaViolation(f"{path}: missing tensors {sorted(missing)}")
+    """Load (params, config, n_points) from checkpoint.v5; tensor names and
+    shapes must match what the stored config implies, and the tensors' bytes
+    must fill the rest of the file exactly."""
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        cfg = _config_from_obj(header.get("config", {}), path)
+        n_points = header.get("n_points")
+        if type(n_points) is not int or n_points < 1:
+            raise SchemaViolation(f"{path}: bad n_points")
+        expected = expected_param_shapes(cfg.net_config(), n_points)
+        tensors = header.get("tensors")
+        if not isinstance(tensors, list):
+            raise SchemaViolation(f"{path}: tensors must be a JSON array")
+        names = []
+        for i, entry in enumerate(tensors):
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise SchemaViolation(f"{path}: tensor entry {i} is not a "
+                                      f"[name, shape] pair")
+            name, shape = entry
+            if not isinstance(name, str) or name not in expected:
+                raise SchemaViolation(f"{path}: unexpected tensor {name!r:.60}")
+            if name in names:
+                raise SchemaViolation(f"{path}: duplicate tensor {name!r}")
+            if not (isinstance(shape, list) and all(type(d) is int for d in shape)
+                    and tuple(shape) == expected[name]):
+                raise SchemaViolation(
+                    f"{path}: tensor {name!r} has shape {shape!r:.60}, config "
+                    f"implies {expected[name]}")
+            names.append(name)
+        missing = set(expected) - set(names)
+        if missing:
+            raise SchemaViolation(f"{path}: missing tensors {sorted(missing)}")
+        params = {}
+        for name in names:
+            values = np.empty(expected[name], dtype="<f8")
+            got = fh.readinto(values)
+            if got != values.nbytes:
+                raise SchemaViolation(f"{path}: tensor {name!r} has {got} bytes "
+                                      f"of data, its shape needs "
+                                      f"{values.nbytes}")
+            if not np.all(np.isfinite(values)):
+                raise SchemaViolation(f"{path}: tensor {name!r} has a "
+                                      f"non-finite value")
+            # native byte order; no copy on a little-endian machine
+            params[name] = ad.Tensor(values.astype(np.float64, copy=False),
+                                     requires_grad=True)
+        if fh.read(1):
+            raise SchemaViolation(f"{path}: bytes after the last tensor")
     return params, cfg, n_points
 
 

@@ -9,6 +9,7 @@ with jitter when too few).  Everything is seeded and reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,16 +81,33 @@ class SceneSpec:
         if self.rotation not in ("full", "limited"):
             raise ValueError(f"rotation must be 'full' or 'limited', "
                              f"got {self.rotation!r}")
+        for name in ("max_angle", "noise_sigma", "occlusion_fraction"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got "
+                                 f"{getattr(self, name)!r:.40}")
         if not 0.0 <= self.occlusion_fraction < 1.0:
             raise ValueError("occlusion_fraction must be in [0, 1)")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be >= 0")
-        lo, hi = self.translation
-        if len(lo) != 3 or len(hi) != 3 or any(h < l for l, h in zip(lo, hi)):
+        if not (isinstance(self.translation, tuple)
+                and len(self.translation) == 2
+                and all(map(_is_3_vector, self.translation))
+                and not any(h < l for l, h in zip(*self.translation))):
             raise ValueError("translation must be (low, high) 3-vectors")
-        if len(self.viewpoint) != 3:
-            raise ValueError(f"viewpoint must be 3 numbers, got "
-                             f"{len(self.viewpoint)}")
+        if not _is_3_vector(self.viewpoint):
+            raise ValueError(f"viewpoint must be 3 finite numbers, got "
+                             f"{self.viewpoint!r:.40}")
+
+
+def _is_number(v) -> bool:
+    """Whether v is a finite int or float (a bool is not a number here)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _is_3_vector(v) -> bool:
+    """Whether v is a tuple of 3 finite numbers."""
+    return isinstance(v, tuple) and len(v) == 3 and all(map(_is_number, v))
 
 
 def _sample_box_surface(rng, sx, sy, sz, n):

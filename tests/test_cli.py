@@ -1,6 +1,6 @@
-import base64
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,9 @@ import pytest
 import pairpose.fileio as fileio
 from pairpose.cli import main
 from pairpose.geom import Pose, pose_apply, rotation_geodesic_angle
+from pairpose.net import init_params
 from pairpose.solver import CorrespondenceSet
+from tests.test_fileio import write_back, write_old_checkpoint
 from tests.test_geom import make_cloud
 
 TOY_CONFIG = """
@@ -269,46 +271,44 @@ class TestTrainEvalCommands:
         assert "error" in json.loads(capsys.readouterr().err)
 
 
-    def test_eval_rejects_checkpoint_entry_without_values(self, tmp_path,
-                                                          toy_config, capsys):
-        from pairpose.net import init_params
+    @staticmethod
+    def eval_checkpoint(tmp_path, toy_config, edit):
+        """``pairpose eval`` on the toy config's checkpoint after ``edit``
+        rewrote it from its path, parsed header line and payload bytes; the
+        exit code and the checkpoint's path."""
         cfg = fileio.load_config(toy_config)
         ckpt = tmp_path / "checkpoint.json"
         fileio.write_checkpoint(ckpt, init_params(cfg.net_config(), cfg.n,
                                                   np.random.default_rng(0)),
                                 cfg, cfg.n)
-        obj = json.loads(ckpt.read_text())
-        del obj["tensors"][0]["data"]
-        ckpt.write_text(json.dumps(obj))
-        rc = main(["eval", "--dataset", str(tmp_path / "ds"),
-                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "x"),
-                   "--config", toy_config])
-        assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert json.loads(err[0])["error"] == "SchemaViolation"
+        line, payload = ckpt.read_bytes().split(b"\n", 1)
+        edit(ckpt, json.loads(line), payload)
+        return main(["eval", "--dataset", str(tmp_path / "ds"),
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "x"),
+                     "--config", toy_config]), ckpt
+
+    def test_eval_rejects_checkpoint_entry_without_values(self, tmp_path,
+                                                          toy_config, capsys):
+        rc, ckpt = self.eval_checkpoint(
+            tmp_path, toy_config,
+            lambda path, header, payload: write_back(path, header,
+                                                     payload[:-8]))
+        assert_one_error_line(capsys, rc, "SchemaViolation", ckpt)
 
     def test_eval_rejects_checkpoint_value_that_is_not_a_number(
             self, tmp_path, toy_config, capsys):
-        from pairpose.net import init_params
-        cfg = fileio.load_config(toy_config)
-        ckpt = tmp_path / "checkpoint.json"
-        fileio.write_checkpoint(ckpt, init_params(cfg.net_config(), cfg.n,
-                                                  np.random.default_rng(0)),
-                                cfg, cfg.n)
-        obj = json.loads(ckpt.read_text())
-        entry = obj["tensors"][0]
-        values = np.frombuffer(base64.b64decode(entry["data"]), "<f8").copy()
-        values[0] = np.nan
-        entry["data"] = base64.b64encode(values.tobytes()).decode()
-        ckpt.write_text(json.dumps(obj))
-        rc = main(["eval", "--dataset", str(tmp_path / "ds"),
-                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "x"),
-                   "--config", toy_config])
-        assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert json.loads(err[0])["error"] == "SchemaViolation"
+        rc, ckpt = self.eval_checkpoint(
+            tmp_path, toy_config,
+            lambda path, header, payload: write_back(
+                path, header, struct.pack("<d", np.nan) + payload[8:]))
+        assert_one_error_line(capsys, rc, "SchemaViolation", ckpt)
+
+    def test_eval_rejects_v4_checkpoint(self, tmp_path, toy_config, capsys):
+        rc, ckpt = self.eval_checkpoint(
+            tmp_path, toy_config,
+            lambda path, header, payload: write_old_checkpoint(
+                path, header, payload, "checkpoint.v4"))
+        assert_one_error_line(capsys, rc, "SchemaViolation", ckpt)
 
     @pytest.mark.parametrize("corrupt", [
         lambda obj: [obj],
@@ -321,22 +321,11 @@ class TestTrainEvalCommands:
             "bad_attention_source", "tensors_not_a_list"])
     def test_eval_rejects_malformed_checkpoint_config(
             self, tmp_path, toy_config, capsys, corrupt):
-        from pairpose.net import init_params
-        cfg = fileio.load_config(toy_config)
-        ckpt = tmp_path / "checkpoint.json"
-        fileio.write_checkpoint(ckpt, init_params(cfg.net_config(), cfg.n,
-                                                  np.random.default_rng(0)),
-                                cfg, cfg.n)
-        ckpt.write_text(json.dumps(corrupt(json.loads(ckpt.read_text()))))
-        rc = main(["eval", "--dataset", str(tmp_path / "ds"),
-                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "x"),
-                   "--config", toy_config])
-        assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        error = json.loads(err[0])
-        assert error["error"] == "SchemaViolation"
-        assert str(ckpt) in error["message"]
+        rc, ckpt = self.eval_checkpoint(
+            tmp_path, toy_config,
+            lambda path, header, payload: write_back(path, corrupt(header),
+                                                     payload))
+        assert_one_error_line(capsys, rc, "SchemaViolation", ckpt)
 
     def test_train_rejects_invalid_network_override(self, tmp_path,
                                                     toy_config, capsys):
@@ -397,7 +386,6 @@ class TestTrainEvalCommands:
                      "--config", toy_config, "--set", "epochs=0"]) == 0
         assert capsys.readouterr().out == f"trained 0 epochs; wrote {run}\n"
         assert (run / "loss.csv").read_text() == fileio.LOSS_CSV_HEADER + "\n"
-        from pairpose.net import init_params
         params, cfg, n_points = fileio.read_checkpoint(run / "checkpoint.json")
         initial = init_params(cfg.net_config(), n_points,
                               np.random.default_rng(cfg.seed))
