@@ -9,10 +9,10 @@ which is also bit-exact.  Formats:
 * pose.v1 JSON {"format", "q": [w,x,y,z], "t": [x,y,z]}, pose sets as JSON
   arrays of the same plus "provenance";
 * matrix.v1: "rows cols" header line, then one whitespace row per line;
-* checkpoint.v5: one JSON header line (format, point count, flat config and
-  each tensor's [name, shape]), then each tensor's C-order little-endian
-  float64 bytes; shapes are validated on load, and the single-JSON-object
-  checkpoints v1 to v4 are rejected;
+* checkpoint.v6: one JSON header line (format, point count, the config's
+  key=value text and each tensor's [name, shape]), then each tensor's
+  C-order little-endian float64 bytes; shapes are validated on load, and
+  checkpoints v1 to v5 are rejected;
 * corr.v1 JSON: correspondence sets (source/target positions + normals);
 * dataset.v1: a directory of scene PLYs plus a manifest.
 
@@ -329,7 +329,8 @@ class Config(NetConfig, _DataConfig):
     The keys are the data keys, then every ``NetConfig`` field, then
     ``seed``: ``_DataConfig`` comes after ``NetConfig`` in the bases because
     dataclasses collect fields from the last base first.  This order is the
-    order of the keys in a checkpoint's config and in ``write_config``.
+    order of the lines of ``config_text``, in a config file and in a
+    checkpoint.
     Constructing a Config validates it: ``NetConfig.__post_init__``, every
     float finite, then the ShapeSpec and SceneSpec it describes."""
 
@@ -369,7 +370,7 @@ def _parse_value(raw: str, default):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise SchemaViolation(f"expected a boolean, got {raw!r}")
+        raise ValueError(f"expected a boolean, got {raw!r}")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -409,7 +410,7 @@ def parse_config(text: str, base: Config | None = None,
     try:
         return replace(cfg, **updates)
     except ValueError as exc:
-        raise SchemaViolation(f"invalid configuration: {exc}")
+        raise SchemaViolation(f"{source}: invalid configuration: {exc}")
 
 
 def load_config(path=None, overrides=()) -> Config:
@@ -424,7 +425,9 @@ def load_config(path=None, overrides=()) -> Config:
     return cfg
 
 
-def write_config(path, cfg: Config):
+def config_text(cfg: Config) -> str:
+    """The config as key=value lines, one per key in field order, that
+    ``parse_config`` reads back to an equal Config."""
     lines = []
     for f in fields(Config):
         v = getattr(cfg, f.name)
@@ -437,70 +440,37 @@ def write_config(path, cfg: Config):
         else:
             s = str(v)
         lines.append(f"{f.name}={s}")
+    return "\n".join(lines) + "\n"
+
+
+def write_config(path, cfg: Config):
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(config_text(cfg))
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _config_to_obj(cfg: Config) -> dict:
-    obj = {}
-    for f in fields(Config):
-        v = getattr(cfg, f.name)
-        obj[f.name] = list(v) if isinstance(v, tuple) else v
-    return obj
-
-
-def _has_default_type(v, default) -> bool:
-    """Whether a stored config value has the type of its key's default (an
-    int also passes for a float; a bool passes only for a bool)."""
-    if isinstance(default, tuple):
-        return isinstance(v, tuple) and all(_has_default_type(x, default[0])
-                                            for x in v)
-    if isinstance(default, float) and not isinstance(v, bool):
-        return isinstance(v, (int, float))
-    return type(v) is type(default)
-
-
-def _config_from_obj(obj, path) -> Config:
-    if not isinstance(obj, dict):
-        raise SchemaViolation(f"{path}: config must be a JSON object")
-    defaults = {f.name: f.default for f in fields(Config)}
-    kwargs = {}
-    for key, v in obj.items():
-        if key not in defaults:
-            raise SchemaViolation(f"{path}: unknown config key {key!r}")
-        v = tuple(v) if isinstance(v, list) else v
-        if not _has_default_type(v, defaults[key]):
-            raise SchemaViolation(f"{path}: config key {key!r} has the wrong "
-                                  f"type: {v!r:.40}")
-        kwargs[key] = v
-    try:
-        return Config(**kwargs)
-    except ValueError as exc:
-        raise SchemaViolation(f"{path}: invalid configuration: {exc}")
-
-
-# each is one JSON object, whose text starts '{"format": "checkpoint.vN"'
+# each starts '{"format": "checkpoint.vN"': v1 to v4 are one JSON object,
+# v5 is a header line whose config is a JSON object of typed values
 _OLD_CHECKPOINTS = ("checkpoint.v1", "checkpoint.v2", "checkpoint.v3",
-                    "checkpoint.v4")
-# bytes a header line may take: a paper-scale header takes 2.5 KB, and a
+                    "checkpoint.v4", "checkpoint.v5")
+# bytes a header line may take: a paper-scale header takes 2.3 KB, and a
 # v4 file is one line of the whole file's size
 _HEADER_LIMIT = 1 << 20
 
 
 def write_checkpoint(path, params: dict, cfg: Config, n_points: int):
-    """Write checkpoint.v5: one line of ``json.dumps`` holding the format,
-    ``n_points``, the config and the ``[name, shape]`` of each tensor in
-    sorted-name order, then each tensor's C-order little-endian float64
-    bytes in the same order."""
+    """Write checkpoint.v6: one line of ``json.dumps`` holding the format,
+    ``n_points``, the config as the string ``config_text`` makes and the
+    ``[name, shape]`` of each tensor in sorted-name order, then each
+    tensor's C-order little-endian float64 bytes in the same order."""
     tensors = sorted(params.items())
     header = json.dumps({
-        "format": "checkpoint.v5",
+        "format": "checkpoint.v6",
         "n_points": n_points,
-        "config": _config_to_obj(cfg),
+        "config": config_text(cfg),
         "tensors": [[name, list(p.values.shape)] for name, p in tensors],
     })
     with open(path, "wb") as fh:
@@ -510,32 +480,37 @@ def write_checkpoint(path, params: dict, cfg: Config, n_points: int):
 
 
 def _read_header(fh, path) -> dict:
-    """The parsed header line of checkpoint.v5; the older formats are
+    """The parsed header line of checkpoint.v6; the older formats are
     recognized from their first bytes and rejected."""
     line = fh.readline(_HEADER_LIMIT)
     for fmt in _OLD_CHECKPOINTS:
         if line.startswith(f'{{"format": "{fmt}"'.encode()):
             raise SchemaViolation(f"{path}: {fmt} is no longer read; "
-                                  f"retrain the model to write checkpoint.v5")
+                                  f"retrain the model to write checkpoint.v6")
     if not line.endswith(b"\n"):
-        raise SchemaViolation(f"{path}: expected checkpoint.v5, which starts "
+        raise SchemaViolation(f"{path}: expected checkpoint.v6, which starts "
                               f"with a JSON header line")
     try:
         header = json.loads(line.decode("utf-8"))
     except (ValueError, RecursionError) as exc:   # bad JSON or UTF-8
         raise SchemaViolation(f"{path}: not a checkpoint header: {exc}")
-    if not isinstance(header, dict) or header.get("format") != "checkpoint.v5":
-        raise SchemaViolation(f"{path}: expected checkpoint.v5")
+    if not isinstance(header, dict) or header.get("format") != "checkpoint.v6":
+        raise SchemaViolation(f"{path}: expected checkpoint.v6")
     return header
 
 
 def read_checkpoint(path):
-    """Load (params, config, n_points) from checkpoint.v5; tensor names and
-    shapes must match what the stored config implies, and the tensors' bytes
-    must fill the rest of the file exactly."""
+    """Load (params, config, n_points) from checkpoint.v6; the config text
+    is read as a config file is, tensor names and shapes must match what it
+    implies, and the tensors' bytes must fill the rest of the file
+    exactly."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
-        cfg = _config_from_obj(header.get("config", {}), path)
+        text = header.get("config")
+        if not isinstance(text, str):
+            raise SchemaViolation(f"{path}: config must be a string of "
+                                  f"key=value lines")
+        cfg = parse_config(text, source=f"{path}: config")
         n_points = header.get("n_points")
         if type(n_points) is not int or n_points < 1:
             raise SchemaViolation(f"{path}: bad n_points")
@@ -699,7 +674,6 @@ def load_dataset(in_dir) -> Dataset:
         return Dataset(model=model.with_frame("model"), records=tuple(records),
                        train_indices=tuple(train_idx),
                        test_indices=tuple(test_idx),
-                       symmetric=shape.symmetric,
                        shape_spec=shape, scene_spec=scene_spec)
     except (LookupError, TypeError, ValueError, OSError) as exc:
         raise SchemaViolation(f"{path}: {exc}")

@@ -223,16 +223,22 @@ class Pose:
         return self.rotation_matrix() @ _vec3(p) + self.t
 
 
+def random_rotation(rng: np.random.Generator,
+                    max_angle: float | None = None) -> np.ndarray:
+    """Random unit quaternion: uniform over SO(3) when max_angle is None,
+    else a uniform angle in [0, max_angle] about a random axis."""
+    if max_angle is None:
+        return random_quaternion(rng)
+    axis = rng.standard_normal(3)
+    while np.linalg.norm(axis) < 1e-6:
+        axis = rng.standard_normal(3)
+    return quat_from_axis_angle(axis, rng.uniform(0.0, max_angle))
+
+
 def random_pose(rng: np.random.Generator, max_angle: float | None = None,
                 trans_scale: float = 1.0) -> Pose:
     """Random pose; full SO(3) when max_angle is None, else angle <= max_angle."""
-    if max_angle is None:
-        q = random_quaternion(rng)
-    else:
-        axis = rng.standard_normal(3)
-        while np.linalg.norm(axis) < 1e-6:
-            axis = rng.standard_normal(3)
-        q = quat_from_axis_angle(axis, rng.uniform(0.0, max_angle))
+    q = random_rotation(rng, max_angle)
     t = rng.uniform(-trans_scale, trans_scale, size=3)
     return Pose(q, t)
 

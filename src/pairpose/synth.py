@@ -19,8 +19,7 @@ from .geom import (
     OrientedPointCloud,
     Pose,
     pose_apply,
-    quat_from_axis_angle,
-    random_quaternion,
+    random_rotation,
 )
 
 SHAPE_KINDS = ("box", "cylinder", "sphere", "box_with_bump")
@@ -210,26 +209,16 @@ def farthest_point_indices(positions: np.ndarray, count: int,
     return chosen
 
 
-def sample_pose(rng: np.random.Generator, spec: SceneSpec) -> Pose:
-    if spec.rotation == "full":
-        q = random_quaternion(rng)
-    else:
-        axis = rng.standard_normal(3)
-        while np.linalg.norm(axis) < 1e-6:
-            axis = rng.standard_normal(3)
-        q = quat_from_axis_angle(axis, rng.uniform(0.0, spec.max_angle))
-    lo, hi = spec.translation
-    t = rng.uniform(np.asarray(lo, float), np.asarray(hi, float))
-    return Pose(q, t)
-
-
 def render_scene(model: OrientedPointCloud, spec: SceneSpec):
     """Render one observed scene; returns (scene cloud, ground-truth pose).
 
     The pose maps model coordinates into the scene frame.
     """
     rng = np.random.default_rng(spec.seed)
-    gt = sample_pose(rng, spec)
+    max_angle = None if spec.rotation == "full" else spec.max_angle
+    q = random_rotation(rng, max_angle)   # drawn before the translation
+    lo, hi = spec.translation
+    gt = Pose(q, rng.uniform(np.asarray(lo, float), np.asarray(hi, float)))
     posed = pose_apply(gt, model, frame="scene")
     vp = np.asarray(spec.viewpoint, dtype=np.float64)
 
@@ -286,9 +275,12 @@ class Dataset:
     records: tuple
     train_indices: tuple
     test_indices: tuple
-    symmetric: bool
     shape_spec: ShapeSpec
     scene_spec: SceneSpec
+
+    @property
+    def symmetric(self) -> bool:
+        return self.shape_spec.symmetric
 
     @property
     def train_records(self):
@@ -322,7 +314,6 @@ def make_dataset(shape: ShapeSpec, scenes: int, scene_spec: SceneSpec,
         records=tuple(records),
         train_indices=tuple(range(n_train)),
         test_indices=tuple(range(n_train, scenes)),
-        symmetric=shape.symmetric,
         shape_spec=shape,
         scene_spec=scene_spec,
     )

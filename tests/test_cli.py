@@ -11,7 +11,7 @@ from pairpose.cli import main
 from pairpose.geom import Pose, pose_apply, rotation_geodesic_angle
 from pairpose.net import init_params
 from pairpose.solver import CorrespondenceSet
-from tests.test_fileio import write_back, write_old_checkpoint
+from tests.test_fileio import edit_config, write_back, write_old_checkpoint
 from tests.test_geom import make_cloud
 
 TOY_CONFIG = """
@@ -304,18 +304,18 @@ class TestTrainEvalCommands:
         assert_one_error_line(capsys, rc, "SchemaViolation", ckpt)
 
     def test_eval_rejects_v4_checkpoint(self, tmp_path, toy_config, capsys):
-        rc, ckpt = self.eval_checkpoint(
-            tmp_path, toy_config,
-            lambda path, header, payload: write_old_checkpoint(
-                path, header, payload, "checkpoint.v4"))
-        assert_one_error_line(capsys, rc, "SchemaViolation", ckpt)
+        for fmt in ("checkpoint.v4", "checkpoint.v5"):
+            rc, ckpt = self.eval_checkpoint(
+                tmp_path, toy_config,
+                lambda path, header, payload: write_old_checkpoint(
+                    path, header, payload, fmt))
+            assert_one_error_line(capsys, rc, "SchemaViolation", ckpt)
 
     @pytest.mark.parametrize("corrupt", [
         lambda obj: [obj],
-        lambda obj: {**obj, "config": []},
-        lambda obj: {**obj, "config": {**obj["config"], "psn_trunk": 5}},
-        lambda obj: {**obj, "config": {**obj["config"],
-                                       "attention_source": "bogus"}},
+        lambda obj: {**obj, "config": obj["config"].splitlines()},
+        lambda obj: edit_config(obj, "psn_trunk=5"),
+        lambda obj: edit_config(obj, "attention_source=bogus"),
         lambda obj: {**obj, "tensors": 5},
     ], ids=["top_level_array", "config_array", "scalar_trunk",
             "bad_attention_source", "tensors_not_a_list"])
@@ -362,7 +362,7 @@ class TestTrainEvalCommands:
         assert len(err) == 1
         error = json.loads(err[0])
         assert error["error"] == "SchemaViolation"
-        assert error["message"].startswith("invalid configuration")
+        assert error["message"].startswith("--set: invalid configuration")
         assert not os.path.exists(tmp_path / "ds")
 
     def test_train_rejects_negative_epochs(self, tmp_path, toy_config,

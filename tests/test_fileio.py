@@ -223,11 +223,17 @@ class TestConfig:
         with pytest.raises(SchemaViolation,
                            match="--set, line 2: bad value for epochs"):
             fileio.load_config(path, overrides=["n=32", "epochs=abc"])
+        with pytest.raises(SchemaViolation,
+                           match="--set, line 1: bad value for "
+                                 "attention_for_match: expected a boolean"):
+            fileio.load_config(path, overrides=["attention_for_match=maybe"])
 
     def test_validation_of_derived_specs(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("occlusion_fraction=1.5\n")
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(SchemaViolation,
+                           match=re.escape(f"{path}: invalid configuration: "
+                                           f"occlusion_fraction")):
             fileio.load_config(path)
 
     def test_file_round_trip(self, tmp_path):
@@ -247,14 +253,16 @@ class TestConfig:
                      id="negative_gamma_unsupervised"),
         "num_pairs=0", "epochs=-1"])
     def test_invalid_network_value_rejected(self, override):
-        with pytest.raises(SchemaViolation, match="invalid configuration"):
+        with pytest.raises(SchemaViolation,
+                           match="^--set: invalid configuration"):
             fileio.load_config(overrides=[override])
 
     @pytest.mark.parametrize("override", [
         "noise_sigma=nan", "lr=inf", "translation_low=-inf,0,0",
         "viewpoint=1,2", "viewpoint="])
     def test_non_finite_or_misshapen_data_value_rejected(self, override):
-        with pytest.raises(SchemaViolation, match="invalid configuration"):
+        with pytest.raises(SchemaViolation,
+                           match="^--set: invalid configuration"):
             fileio.load_config(overrides=[override])
 
     def test_zero_gammas_accepted_without_ppf_supervision(self):
@@ -263,7 +271,7 @@ class TestConfig:
         assert cfg.gammas == (0.0, 0.0, 0.0)
 
     def test_keys_and_their_order(self):
-        # the order of a checkpoint's config keys and of write_config's lines
+        # the order of config_text's lines, in config files and checkpoints
         assert [f.name for f in fields(fileio.Config)] == [
             "n", "shape_kind", "shape_dims", "scenes", "train_fraction",
             "rotation", "max_angle", "translation_low", "translation_high",
@@ -284,7 +292,7 @@ TINY_NET = ("psn_trunk=4,6\npsn_exterior_width=2\npsn_out_width=4\n"
 
 
 def tiny_checkpoint(tmp_path, seed, n=5):
-    """A valid checkpoint.v5 file of the tiny network, its parsed header and
+    """A valid checkpoint.v6 file of the tiny network, its parsed header and
     its payload bytes."""
     cfg = fileio.parse_config(TINY_NET)
     params = init_params(cfg.net_config(), n, np.random.default_rng(seed))
@@ -299,10 +307,27 @@ def write_back(path, header, payload):
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
 
 
+def edit_config(header, line):
+    """The header with the config line of ``line``'s key replaced by
+    ``line``."""
+    key = line.split("=", 1)[0]
+    lines = [line if old.split("=", 1)[0] == key else old
+             for old in header["config"].splitlines()]
+    return {**header, "config": "\n".join(lines) + "\n"}
+
+
 def write_old_checkpoint(path, header, payload, fmt, **config):
-    """Write the checkpoint as one JSON object, the layout of checkpoints v1
-    to v4: each tensor entry holds its decimal values in v1 and the base64 of
-    its bytes after that."""
+    """Write the checkpoint in the layout of ``fmt``, v1 to v5, whose config
+    is a JSON object of typed values (plus ``config``).  v5 is v6 with that
+    config; v1 to v4 are one JSON object, whose tensor entries hold their
+    decimal values in v1 and the base64 of their bytes after that."""
+    typed = {k: list(v) if isinstance(v, tuple) else v
+             for k, v in vars(fileio.parse_config(header["config"])).items()}
+    old = {"format": fmt, "n_points": header["n_points"],
+           "config": typed | config}
+    if fmt == "checkpoint.v5":
+        write_back(path, old | {"tensors": header["tensors"]}, payload)
+        return
     values = np.frombuffer(payload, "<f8")
     tensors, at = [], 0
     for name, shape in header["tensors"]:
@@ -311,17 +336,25 @@ def write_old_checkpoint(path, header, payload, fmt, **config):
         tensors.append({"name": name, "shape": shape} | (
             {"values": chunk.tolist()} if fmt == "checkpoint.v1"
             else {"data": base64.b64encode(chunk.tobytes()).decode()}))
-    path.write_text(json.dumps({
-        "format": fmt, "n_points": header["n_points"],
-        "config": header["config"] | config, "tensors": tensors}) + "\n")
+    path.write_text(json.dumps(old | {"tensors": tensors}) + "\n")
+
+
+SMALL_NET = ("psn_trunk=8,12\npsn_exterior_width=4\npsn_out_width=8\n"
+             "feat_widths=8,12\nfeat_global_width=8\ndecode_width=8\n"
+             "head_hidden=12\nn=10\n")
 
 
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        cfg = fileio.parse_config("psn_trunk=8,12\npsn_exterior_width=4\n"
-                                  "psn_out_width=8\nfeat_widths=8,12\n"
-                                  "feat_global_width=8\ndecode_width=8\n"
-                                  "head_hidden=12\nn=10\n")
+    @pytest.mark.parametrize("text", [
+        SMALL_NET,
+        SMALL_NET + "shape_kind=cylinder\nshape_dims=0.03,0.1\n"
+        "rotation=limited\nmax_angle=0.7\ntranslation_low=-0.2,-0.1,0.25\n"
+        "viewpoint=0.5,0.0,-1.0\nnoise_sigma=0.0015\n"
+        "attention_source=branch\nattention_for_match=false\n"
+        "ppf_supervision=false\nlr=0.0013\nnum_pairs=7\nseed=44\n",
+    ], ids=["small_net", "non_default_values"])
+    def test_round_trip(self, tmp_path, text):
+        cfg = fileio.parse_config(text)
         params = init_params(cfg.net_config(), 10, np.random.default_rng(7))
         path = tmp_path / "ckpt.json"
         fileio.write_checkpoint(path, params, cfg, 10)
@@ -369,23 +402,21 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("corrupt", [
         lambda obj: [obj],
-        lambda obj: {**obj, "config": []},
-        lambda obj: {**obj, "config": {**obj["config"], "psn_trunk": 5}},
-        lambda obj: {**obj, "config": {**obj["config"],
-                                       "attention_source": "bogus"}},
-        lambda obj: {**obj, "config": {**obj["config"], "num_pairs": "x"}},
-        lambda obj: {**obj, "config": {**obj["config"],
-                                       "attention_for_match": "yes"}},
-        lambda obj: {**obj, "config": {**obj["config"], "feat_widths": []}},
-        lambda obj: {**obj, "config": {**obj["config"], "shape_kind": "bogus"}},
-        lambda obj: {**obj, "config": {**obj["config"],
-                                       "rotation": "sideways"}},
-        lambda obj: {**obj, "config": {**obj["config"],
-                                       "occlusion_fraction": 2.0}},
-    ], ids=["top_level_array", "config_array", "scalar_trunk",
+        lambda obj: {**obj, "config": obj["config"].splitlines()},
+        lambda obj: {**obj, "config": {"n": 5}},
+        lambda obj: edit_config(obj, "psn_trunk=5"),
+        lambda obj: edit_config(obj, "attention_source=bogus"),
+        lambda obj: edit_config(obj, "num_pairs=x"),
+        lambda obj: edit_config(obj, "attention_for_match=maybe"),
+        lambda obj: edit_config(obj, "feat_widths="),
+        lambda obj: edit_config(obj, "shape_kind=bogus"),
+        lambda obj: edit_config(obj, "rotation=sideways"),
+        lambda obj: edit_config(obj, "occlusion_fraction=2.0"),
+        lambda obj: {**obj, "config": obj["config"] + "phi1=2\n"},
+    ], ids=["top_level_array", "config_array", "config_object", "scalar_trunk",
             "bad_attention_source", "string_num_pairs", "string_flag",
             "no_feat_widths", "bad_shape_kind", "bad_rotation",
-            "occlusion_fraction_above_one"])
+            "occlusion_fraction_above_one", "unknown_key"])
     def test_malformed_config_rejected(self, tmp_path, corrupt):
         path, header, payload = tiny_checkpoint(tmp_path, 12)
         write_back(path, corrupt(header), payload)
@@ -456,6 +487,12 @@ class TestCheckpoint:
         with pytest.raises(SchemaViolation, match="checkpoint.v3.*retrain"):
             fileio.read_checkpoint(path)
 
+    def test_v5_checkpoint_rejected(self, tmp_path):
+        path, header, payload = tiny_checkpoint(tmp_path, 14)
+        write_old_checkpoint(path, header, payload, "checkpoint.v5")
+        with pytest.raises(SchemaViolation, match="checkpoint.v5.*retrain"):
+            fileio.read_checkpoint(path)
+
     def test_v4_checkpoint_rejected(self, tmp_path):
         path, header, payload = tiny_checkpoint(tmp_path, 14)
         write_old_checkpoint(path, header, payload, "checkpoint.v4")
@@ -473,12 +510,12 @@ class TestCheckpoint:
         params = init_params(cfg.net_config(), n, np.random.default_rng(n))
         path = tmp_path / "ckpt.json"
         fileio.write_checkpoint(path, params, cfg, n)
+        fileio.write_config(tmp_path / "cfg.txt", cfg)
         tensors = sorted(params.items())
         header = {
-            "format": "checkpoint.v5",
+            "format": "checkpoint.v6",
             "n_points": n,
-            "config": {f: list(v) if isinstance(v, tuple) else v
-                       for f, v in vars(cfg).items()},
+            "config": (tmp_path / "cfg.txt").read_text(),
             "tensors": [[name, list(p.values.shape)] for name, p in tensors],
         }
         expected = (json.dumps(header) + "\n").encode() + b"".join(
@@ -498,13 +535,13 @@ class TestCheckpoint:
                 assert np.array_equal(back[name].values, params[name].values)
 
 
-def _header_fields(header):
+def _header_fields(header, config_lines):
     """(container, key) of the fields of a checkpoint header, in four
-    groups: the top-level keys, the config keys, the tensor list items and
-    the items of the [name, shape] pairs."""
+    groups: the top-level keys, the lines of the config text, the tensor
+    list items and the items of the [name, shape] pairs."""
     tensors = header["tensors"]
     return [[(header, k) for k in header],
-            [(header["config"], k) for k in header["config"]],
+            [(config_lines, i) for i in range(len(config_lines))],
             [(tensors, i) for i in range(len(tensors))],
             [(pair, i) for pair in tensors for i in range(len(pair))]]
 
@@ -541,12 +578,16 @@ class TestCheckpointReaderFuzz:
     @given(data=st.data())
     def test_field_deletions_and_type_changes(self, tmp_path, data):
         path, header, payload = tiny_checkpoint(tmp_path, 16, n=3)
-        group = data.draw(st.sampled_from(_header_fields(header)))
+        lines = header["config"].splitlines()
+        group = data.draw(st.sampled_from(_header_fields(header, lines)))
         container, key = data.draw(st.sampled_from(group))
         if data.draw(st.booleans()):
             del container[key]
         else:
-            container[key] = data.draw(JSON_VALUES)
+            container[key] = data.draw(
+                CONFIG_LINES if container is lines else JSON_VALUES)
+        if container is lines:
+            header["config"] = "\n".join(lines)
         write_back(path, header, payload)
         self.read(path)
 
