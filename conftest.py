@@ -1,8 +1,9 @@
 """Run the acceptance suite after every other test.
 
 `tests/test_acceptance.py` trains the toy model 3 configurations x 5 seeds
-and takes about 13 minutes; the rest of the suite takes about 1.5 minutes
-(one BLAS thread on a 2-vCPU Xeon VM).
+and takes about 9 minutes, 8 of them in those 15 trainings; the rest of the
+suite takes about 1 minute (one BLAS thread on a 2-vCPU Xeon VM).
+`pytest -m "not acceptance"` runs the rest alone.
 Running it last reports the unit tests first. Every test still runs, and
 the order within each group is unchanged.
 """

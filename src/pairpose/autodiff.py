@@ -7,8 +7,14 @@ tensors themselves and ``backward`` replays it in reverse topological order.
 A closure keeps only what its VJP reads: a dense layer (``dense``, matmul +
 bias + optional relu) is one node holding its output, not three, and it
 reads a fused input as column blocks, so no concatenated copy outlives its
-GEMM.  The operation set is closed and small on purpose: each op has a
-hand-written vector-Jacobian product, and ``grad_check`` verifies all of
+GEMM.  The attention map (``attention_map``, row softmax of a @ b^T) is one
+node holding only the map, not its logits and a transposed b.  The pose
+loss (``mean_pose_point_distance``) keeps its (N, K) distances and
+recomputes the (N, K, 3) offsets one block of candidate rows at a time in
+its VJP, trading a second batched matmul for the largest array of a step.
+Every fused or blocked op gives the bits of the unfused, whole-array
+computation.  The operation set is closed and small on purpose: each op has
+a hand-written vector-Jacobian product, and ``grad_check`` verifies all of
 them against central finite differences, falling back to a one-sided
 difference at a relu or l1 kink for at most ``MAX_KINKS`` coordinates.
 
@@ -27,7 +33,7 @@ import warnings
 import numpy as np
 
 from .errors import NonFiniteInput, NonScalarLoss, ShapeMismatch
-from .geom import nearest_point_indices, quat_to_matrix
+from .geom import nearest_point_indices, quat_to_matrix, row_blocks
 
 ZERO_ROW_TOL = 1e-30
 # coordinates that ``grad_check`` may resolve by a one-sided difference
@@ -291,6 +297,34 @@ def row_softmax(a: Tensor) -> Tensor:
     return _result(s, (a,), back)
 
 
+def attention_map(a: Tensor, b: Tensor) -> Tensor:
+    """row_softmax(a @ b^T), one node that keeps only the map, where
+    ``row_softmax(matmul(a, transpose(b)))`` keeps the logits and b^T too:
+    the logits become the map in place.  The VJP is that chain's:
+    gl = s * (g - sum(g * s)), then gl @ b for a and (a^T @ gl)^T for b.
+
+    Each GEMM that reads b reads a C-ordered copy of b^T made for it alone,
+    the layout the chain's GEMMs read: at many shapes BLAS rounds the
+    product differently when it reads b in place."""
+    if a.shape[1] != b.shape[1]:
+        raise ShapeMismatch(f"attention_map {a.shape} x {b.shape}^T")
+    if b.shape[0] < 1:
+        raise ShapeMismatch("attention_map needs at least one column")
+    s = a.values @ b.values.T.copy()
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+
+    def back(g):
+        gl = s * (g - np.sum(g * s, axis=1, keepdims=True))
+        if a.requires_grad:
+            _accumulate(a, gl @ b.values.T.copy().T)
+        if b.requires_grad:
+            _accumulate(b, (a.values.T @ gl).T)
+
+    return _result(s, (a, b), back)
+
+
 def row_l2_normalize(a: Tensor) -> Tensor:
     """Scale every row to unit L2 norm; zero rows pass through (with a warning)."""
     norms = np.linalg.norm(a.values, axis=1, keepdims=True)
@@ -382,6 +416,13 @@ def mean_pose_point_distance(quats: Tensor, trans: Tensor, points: np.ndarray,
     quaternion and translation rows only.  R(q) is ``geom.quat_to_matrix``,
     the polynomial p + 2w (v x p) + 2 v x (v x p): a rotation for unit rows,
     and the gradients are exact for any row.
+
+    The offsets u = R p + t - target exist one block of candidate rows at a
+    time (``geom.row_blocks``, about ``geom.PAIR_BLOCK_ENTRIES`` pairs).  The
+    node keeps the (N, K) distances, whose whole-array mean is the loss (a
+    mean per block would round differently), and the VJP recomputes each
+    block's offsets, and its gathered points, with the same expressions: no
+    (N, K, 3) array exists in either pass.
     """
     pts = np.asarray(points, dtype=np.float64)
     tgt = np.asarray(targets, dtype=np.float64)
@@ -393,34 +434,54 @@ def mean_pose_point_distance(quats: Tensor, trans: Tensor, points: np.ndarray,
     if pts.shape != tgt.shape or pts.ndim != 2 or pts.shape[1] != 3:
         raise ShapeMismatch(f"points {pts.shape} vs targets {tgt.shape}")
     n, k = quats.shape[0], pts.shape[0]
-    if sel is None:
-        gathered = pts                                        # (K, 3)
-    else:
+    if sel is not None:
         sel = np.asarray(sel)
         if sel.shape != (n, k):
             raise ShapeMismatch(f"sel must be (N,K) = ({n},{k}), got {sel.shape}")
-        gathered = pts[sel]                                   # (N, K, 3)
 
     w = quats.values[:, 0]
     v = quats.values[:, 1:]
-    rot = quat_to_matrix(quats.values)                        # (N, 3, 3)
-    u = gathered @ rot.transpose(0, 2, 1)                     # (N, K, 3)
-    u += trans.values[:, None, :]
-    u -= tgt
-    dist = np.linalg.norm(u, axis=2)
+    rot_t = quat_to_matrix(quats.values).transpose(0, 2, 1)    # (N, 3, 3)
+    blocks = row_blocks(n, k)
+
+    def offsets(rows):
+        """(u, gathered) of the candidates in ``rows``: (B, K, 3) offsets,
+        and the (K, 3) or (B, K, 3) model points they rotate."""
+        # np.take copies the same rows as pts[...], several times faster
+        gathered = pts if sel is None else np.take(pts, sel[rows], axis=0)
+        u = gathered @ rot_t[rows]
+        u += trans.values[rows, None, :]
+        u -= tgt
+        return u, gathered
+
+    dist = np.empty((n, k))
+    for rows in blocks:
+        # np.linalg.norm(u, axis=2)'s sum of squares, without its copies
+        u = offsets(rows)[0]
+        u *= u
+        np.sqrt(np.add.reduce(u, axis=2), out=dist[rows])
+        del u       # before the next block's offsets exist
 
     def back(g):
-        # dL/du, formed in u itself: only this VJP reads u and dist, and a
-        # graph is walked once
-        small = dist < eps
-        np.maximum(dist, eps, out=dist)
-        s = u
-        s /= dist[:, :, None]
-        s[small] = 0.0
-        s *= g[0, 0] / (n * k)
-        _accumulate(trans, s.sum(axis=1))
-        # dL/dR, then through R = I + 2w[v]x + 2(v v^T - |v|^2 I)
-        grad_rot = s.transpose(0, 2, 1) @ gathered            # (N, 3, 3)
+        # dL/du of each block, formed in its recomputed offsets; dist is
+        # clamped in place: only this VJP reads it, and a graph is walked once
+        scale = g[0, 0] / (n * k)
+        grad_trans = np.empty((n, 3))
+        grad_rot = np.empty((n, 3, 3))                        # dL/dR
+        for rows in blocks:
+            s, gathered = offsets(rows)
+            d = dist[rows]
+            small = d < eps
+            np.maximum(d, eps, out=d)
+            s /= d[:, :, None]
+            if small.any():
+                s[small] = 0.0
+            s *= scale
+            grad_trans[rows] = s.sum(axis=1)
+            grad_rot[rows] = s.transpose(0, 2, 1) @ gathered
+            del s, gathered
+        _accumulate(trans, grad_trans)
+        # through R = I + 2w[v]x + 2(v v^T - |v|^2 I)
         axial = np.stack([grad_rot[:, 2, 1] - grad_rot[:, 1, 2],
                           grad_rot[:, 0, 2] - grad_rot[:, 2, 0],
                           grad_rot[:, 1, 0] - grad_rot[:, 0, 1]], axis=1)

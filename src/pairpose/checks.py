@@ -102,6 +102,12 @@ def _build_row_softmax(rng):
     return p, lambda: ad.mse(ad.row_softmax(p["a"]), tgt)
 
 
+def _build_attention_map(rng):
+    p = _params(rng, a=(4, 3), b=(5, 3))
+    tgt = ad.Tensor(rng.uniform(0.0, 0.4, size=(4, 5)))
+    return p, lambda: ad.mse(ad.attention_map(p["a"], p["b"]), tgt)
+
+
 def _build_row_l2_normalize(rng):
     a = rng.standard_normal((4, 5))
     a += np.sign(a.sum(axis=1, keepdims=True)) * 0.5  # rows well away from zero
@@ -174,6 +180,7 @@ OP_SUITES = {
     "dense_relu": _build_dense_relu,
     "dense_blocks": _build_dense_blocks,
     "row_softmax": _build_row_softmax,
+    "attention_map": _build_attention_map,
     "row_l2_normalize": _build_row_l2_normalize,
     "mean_pool_rows": _build_mean_pool_rows,
     "repeat_rows": _build_repeat_rows,

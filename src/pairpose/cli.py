@@ -31,10 +31,10 @@ def _add_common(p):
 
 
 def _load_config(args) -> Config:
-    overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    return fileio.load_config(args.config, overrides)
+    cfg = fileio.load_config(args.config, args.overrides)
+    if args.seed is not None:   # a source of its own: it wins over --set seed=
+        cfg = fileio.parse_config(f"seed={args.seed}", cfg, source="--seed")
+    return cfg
 
 
 def cmd_synth(args) -> int:

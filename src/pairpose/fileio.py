@@ -386,12 +386,12 @@ def _parse_value(raw: str, default):
 
 def parse_config(text: str, base: Config | None = None,
                  source: str = "config") -> Config:
-    """Parse flat key=value lines; '#' starts a comment, unknown keys fail.
-    ``source`` names the text (a file path, or ``--set``) in error
-    messages."""
+    """Parse flat key=value lines; '#' starts a comment, and an unknown key
+    or a key set twice fails.  ``source`` names the text (a file path, or
+    ``--set``) in error messages; a later source may override ``base``."""
     cfg = base if base is not None else Config()
     known = {f.name: getattr(cfg, f.name) for f in fields(Config)}
-    updates = {}
+    updates, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         where = f"{source}, line {lineno}"
         line = line.split("#", 1)[0].strip()
@@ -403,6 +403,10 @@ def parse_config(text: str, base: Config | None = None,
         key = key.strip()
         if key not in known:
             raise SchemaViolation(f"{where}: unknown config key {key!r}")
+        if key in set_on:
+            raise SchemaViolation(f"{source}, lines {set_on[key]} and "
+                                  f"{lineno} both set {key}")
+        set_on[key] = lineno
         try:
             updates[key] = _parse_value(raw, known[key])
         except ValueError as exc:

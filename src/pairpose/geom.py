@@ -148,8 +148,22 @@ def rotation_geodesic_angle(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# nearest points
+# pairwise blocks and nearest points
 # ---------------------------------------------------------------------------
+
+# Pair entries (rows x columns) per block of the kernels that work over all
+# pairs in row blocks (the pose-distance loss, the PPF target), so a block's
+# (rows, cols, 3) temporaries take 0.4 MB: 16 rows at 1000 columns, and one
+# block up to 128 x 128.
+PAIR_BLOCK_ENTRIES = 1 << 14
+
+
+def row_blocks(rows: int, cols: int) -> list:
+    """Slices covering range(rows), each of about ``PAIR_BLOCK_ENTRIES``
+    pair entries of a (rows, cols) array (at least one row)."""
+    step = max(1, PAIR_BLOCK_ENTRIES // max(cols, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
 
 # Query rows per GEMM chunk, so the 128 x K score block stays in cache.  With
 # 10^6 queries against K = 1000 points on one BLAS thread of a Xeon VM, 512

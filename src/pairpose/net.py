@@ -239,7 +239,7 @@ def attention_forward(f_sa, f_ma):
     """Row-stochastic similarity: softmax over model points per scene row."""
     if f_sa.shape[1] != f_ma.shape[1]:
         raise SizeMismatch(f"feature widths differ: {f_sa.shape} vs {f_ma.shape}")
-    return ad.row_softmax(ad.matmul(f_sa, ad.transpose(f_ma)))
+    return ad.attention_map(f_sa, f_ma)
 
 
 def attention_loss(m, w):
@@ -293,7 +293,9 @@ def head_attention_input(attn: np.ndarray) -> ad.Tensor:
     then contributes ~zero instead of a large constant block, so heads only
     start consuming attention once it sharpens."""
     n = attn.shape[1]
-    return ad.Tensor(float(n) * (attn + (-1.0 / n)))
+    h = attn + (-1.0 / n)
+    h *= float(n)
+    return ad.Tensor(h)
 
 
 def bidirectional_forward(f_s, f_m, head_attn, params, cfg: NetConfig):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeMismatch
-from .geom import OrientedPointCloud, Pose, pose_apply, pose_invert
+from .geom import (OrientedPointCloud, Pose, pose_apply, pose_invert,
+                   row_blocks)
 
 COINCIDENT_TOL = 1e-12
 
@@ -108,6 +109,12 @@ def attention_target(scene: OrientedPointCloud, model: OrientedPointCloud,
     the inverse of ``gt`` (which maps model -> scene); entry (i, j) is then
     the aggregated pair weight between canonical scene point i and model
     point j, with the offset vector taken as scene_i - model_j.
+
+    Working memory is the N x N output plus O(``geom.PAIR_BLOCK_ENTRIES``).
+    The normal dot products sn @ mn^T are one GEMM into the output buffer
+    (a GEMM per block could round differently); each row block of scene
+    points then turns its rows into weights in place, so the (N, N, 3)
+    offsets and the other N x N terms exist one block at a time.
     """
     if len(scene) != len(model):
         raise SizeMismatch(f"scene has {len(scene)} points, model {len(model)}")
@@ -115,16 +122,18 @@ def attention_target(scene: OrientedPointCloud, model: OrientedPointCloud,
     sp, sn = canonical.positions, canonical.normals
     mp, mn = model.positions, model.normals
 
-    diff = sp[:, None, :] - mp[None, :, :]            # (N, N, 3), scene - model
-    dist = np.linalg.norm(diff, axis=2)
-    theta = _acos(sn @ mn.T)
+    w = sn @ mn.T                          # the normal dots, then the weights
+    for rows in row_blocks(len(sp), len(mp)):
+        diff = sp[rows, None, :] - mp[None, :, :]   # (B, N, 3), scene - model
+        dist = np.linalg.norm(diff, axis=2)
+        theta = _acos(w[rows])
 
-    safe = np.maximum(dist, COINCIDENT_TOL)[:, :, None]
-    dhat = diff / safe
-    ang_s = _acos(np.einsum("ik,ijk->ij", sn, dhat))
-    ang_m = _acos(np.einsum("jk,ijk->ij", mn, dhat))
-    theta_d = np.where(dist < COINCIDENT_TOL, 0.0, 0.5 * (ang_s + ang_m))
+        safe = np.maximum(dist, COINCIDENT_TOL)[:, :, None]
+        dhat = diff / safe
+        ang_s = _acos(np.einsum("ik,ijk->ij", sn[rows], dhat))
+        ang_m = _acos(np.einsum("jk,ijk->ij", mn, dhat))
+        theta_d = np.where(dist < COINCIDENT_TOL, 0.0, 0.5 * (ang_s + ang_m))
 
-    w = 1.0 / (1.0 + gammas.gamma1 * dist + gammas.gamma2 * theta_d
-               + gammas.gamma3 * theta)
+        w[rows] = 1.0 / (1.0 + gammas.gamma1 * dist + gammas.gamma2 * theta_d
+                         + gammas.gamma3 * theta)
     return PpfWeightMatrix(w)

@@ -2,7 +2,7 @@
 line per criterion (visible with `pytest -s tests/test_acceptance.py`).
 
 Criterion 6 trains the toy end-to-end model 3 configurations x 5 seeds and
-dominates the runtime (roughly 10-15 minutes on one core).
+dominates the runtime (about 8 minutes on one core).
 """
 
 import json
@@ -52,6 +52,9 @@ from pairpose.solver import (
 )
 from pairpose.synth import SceneSpec, ShapeSpec, make_dataset, render_scene
 from tests.test_geom import make_cloud
+
+# `pytest -m "not acceptance"` runs the unit tests alone
+pytestmark = pytest.mark.acceptance
 
 
 def report(criterion, ok, detail=""):

@@ -9,7 +9,8 @@ import pairpose.autodiff as ad
 import pairpose.net as net
 from pairpose.checks import run_op_grad_suites
 from pairpose.errors import NonFiniteInput, NonScalarLoss, ShapeMismatch
-from pairpose.geom import NEAREST_CHUNK_ROWS, random_pose
+from pairpose.geom import (NEAREST_CHUNK_ROWS, PAIR_BLOCK_ENTRIES,
+                           quat_to_matrix, random_pose, row_blocks)
 from pairpose.net import adds_loss
 from tests.test_net import TINY, tiny_dataset
 
@@ -695,8 +696,9 @@ class TestPoseDistanceKernel:
 
     @pytest.mark.parametrize("selected", [False, True], ids=["identity", "sel"])
     def test_vjp_allocates_no_candidate_by_point_array(self, selected):
-        # dL/du is formed in the forward pass's (N, K, 3) array; measured
-        # 0.11 MB at N = K = 200, against 1.35 MB with a fresh one
+        # dL/du exists one block of candidate rows at a time, formed in the
+        # block's recomputed offsets: at N = K = 200, one 81-row block's
+        # offsets (and gathered points) peak at 0.49 MB (0.88 MB with sel)
         rng = np.random.default_rng(45)
         n = k = 200
         quats, trans, points, targets = selection_instance(rng, n, k)
@@ -719,3 +721,179 @@ class TestPoseDistanceKernel:
         quats[0], trans[0] = (1.0, 0.0, 0.0, 0.0), 0.0
         targets[2] = points[2]
         self.compare(quats, trans, points, targets)
+
+
+def whole_pose_distance(quats, trans, points, targets, sel=None, eps=1e-12):
+    """``mean_pose_point_distance``'s loss and (dL/dq, dL/dt) computed over
+    whole (N, K, 3) arrays, as the op did before it worked in row blocks:
+    the bit-for-bit oracle of the blocked op."""
+    n, k = quats.shape[0], points.shape[0]
+    gathered = points if sel is None else points[sel]
+    w, v = quats[:, 0], quats[:, 1:]
+    rot = quat_to_matrix(quats)
+    u = gathered @ rot.transpose(0, 2, 1)
+    u += trans[:, None, :]
+    u -= targets
+    dist = np.linalg.norm(u, axis=2)
+    loss = dist.mean()
+    small = dist < eps
+    np.maximum(dist, eps, out=dist)
+    s = u / dist[:, :, None]
+    s[small] = 0.0
+    s *= 1.0 / (n * k)
+    grad_rot = s.transpose(0, 2, 1) @ gathered
+    axial = np.stack([grad_rot[:, 2, 1] - grad_rot[:, 1, 2],
+                      grad_rot[:, 0, 2] - grad_rot[:, 2, 0],
+                      grad_rot[:, 1, 0] - grad_rot[:, 0, 1]], axis=1)
+    sym = grad_rot + grad_rot.transpose(0, 2, 1)
+    trace = np.trace(grad_rot, axis1=1, axis2=2)
+    gw = 2.0 * np.sum(axial * v, axis=1)
+    gv = (2.0 * w[:, None] * axial + 2.0 * (sym @ v[:, :, None])[:, :, 0]
+          - 4.0 * trace[:, None] * v)
+    # + 0.0 as _accumulate's first write
+    return (loss, np.concatenate([gw[:, None], gv], axis=1) + 0.0,
+            s.sum(axis=1) + 0.0)
+
+
+def pose_instance(rng, n, k):
+    """n random unit quaternions and translations, k model points and
+    targets near them; candidate 0 puts model point 0 on its target."""
+    quats = rng.standard_normal((n, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    trans = 0.05 * rng.standard_normal((n, 3))
+    points = rng.uniform(-0.1, 0.1, size=(k, 3))
+    targets = points + rng.normal(0.0, 0.02, size=(k, 3))
+    quats[0], trans[0], targets[0] = (1.0, 0.0, 0.0, 0.0), 0.0, points[0]
+    return quats, trans, points, targets
+
+
+# (N, K) shapes against the block grid of geom.row_blocks: one candidate,
+# fewer candidates than one block's rows, a partial last block, whole
+# blocks only, and K = 1 (16384 candidate rows per block)
+POSE_BLOCK_SHAPES = {"one-candidate": (1, 1000), "one-pair": (1, 1),
+                     "below-one-block": (5, 1000),
+                     "partial-last-block": (37, 1000),
+                     "whole-blocks": (32, 1000), "wide": (12, 3000),
+                     "k1-one-block": (7, 1), "k1-partial": (20000, 1)}
+
+
+class TestPoseDistanceBlocks:
+    """The blocked op against the whole-array computation, bit for bit."""
+
+    @pytest.mark.parametrize("selected", [False, True], ids=["identity", "sel"])
+    @pytest.mark.parametrize("shape", sorted(POSE_BLOCK_SHAPES))
+    def test_equals_the_whole_array_computation(self, shape, selected):
+        n, k = POSE_BLOCK_SHAPES[shape]
+        rows = [r.stop - r.start for r in row_blocks(n, k)]
+        assert sum(rows) == n and max(rows) <= max(1, PAIR_BLOCK_ENTRIES // k)
+        rng = np.random.default_rng(sorted(POSE_BLOCK_SHAPES).index(shape))
+        quats, trans, points, targets = pose_instance(rng, n, k)
+        sel = rng.integers(0, k, size=(n, k)) if selected else None
+        if selected:
+            sel[0, 0] = 0
+        q = ad.Tensor(quats, requires_grad=True)
+        t = ad.Tensor(trans, requires_grad=True)
+        loss = ad.mean_pose_point_distance(q, t, points, targets, sel=sel)
+        ad.backward(loss)
+        expected = whole_pose_distance(quats, trans, points, targets, sel)
+        assert loss.item() == expected[0]
+        assert q.grad.tobytes() == expected[1].tobytes()
+        assert t.grad.tobytes() == expected[2].tobytes()
+
+    @pytest.mark.parametrize("selected", [False, True], ids=["identity", "sel"])
+    def test_forward_allocates_no_candidate_by_point_array(self, selected):
+        # the (N, K) distances and one block's offsets (0.38 MB at K = 400);
+        # the whole-array forward held the (N, K, 3) offsets and the points
+        # gathered for them too
+        rng = np.random.default_rng(46)
+        n = k = 400
+        quats, trans, points, targets = pose_instance(rng, n, k)
+        sel = rng.integers(0, k, size=(n, k)) if selected else None
+        q = ad.Tensor(quats, requires_grad=True)
+        t = ad.Tensor(trans, requires_grad=True)
+        tracemalloc.start()
+        try:
+            ad.mean_pose_point_distance(q, t, points, targets, sel=sel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * 3 * 8, peak
+
+
+def attention_chain(a, b):
+    """The three-node map that ``attention_map`` replaces."""
+    return ad.row_softmax(ad.matmul(a, ad.transpose(b)))
+
+
+class TestAttentionMap:
+    """``attention_map`` against ``row_softmax(matmul(a, transpose(b)))``,
+    bit for bit."""
+
+    @staticmethod
+    def run(op, a, b, target):
+        a = ad.Tensor(a, requires_grad=True)
+        b = ad.Tensor(b, requires_grad=True)
+        m = op(a, b)
+        ad.backward(ad.mse(m, ad.Tensor(target)))
+        return m.values, a.grad, b.grad
+
+    def assert_same_as_chain(self, a, b, target):
+        got = self.run(ad.attention_map, a, b, target)
+        expected = self.run(attention_chain, a, b, target)
+        for i, (x, y) in enumerate(zip(got, expected)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), i
+
+    @staticmethod
+    def instance(n, m, d):
+        rng = np.random.default_rng(n + m + d)
+        a = rng.standard_normal((n, d))
+        b = rng.standard_normal((m, d))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        return a, b, rng.standard_normal((n, m)) / m
+
+    # (rows of a, rows of b, width): one row (a vector product in BLAS),
+    # one column, width 1, the toy and the published PSN widths, and shapes
+    # where BLAS rounds a @ b^T or gl @ b differently when it reads b in
+    # place instead of through a C-ordered copy of b^T, as the op does
+    @pytest.mark.parametrize("n, m, d", [(1, 6, 3), (1, 50, 30), (2, 1, 1),
+                                         (4, 5, 1), (128, 128, 32),
+                                         (1000, 1000, 512), (40, 70, 24),
+                                         (9, 9, 16), (255, 255, 8)])
+    def test_equals_the_chain(self, n, m, d):
+        self.assert_same_as_chain(*self.instance(n, m, d))
+
+    def test_rows_with_exact_ties(self):
+        # a zero row ties all of its logits, duplicated rows of b tie two
+        # columns of every row, and a row equal to a row of b ties its max
+        rng = np.random.default_rng(60)
+        b = rng.standard_normal((6, 4))
+        b[3] = b[1]
+        a = rng.standard_normal((5, 4))
+        a[0] = 0.0
+        a[2] = b[1]
+        self.assert_same_as_chain(a, b, rng.standard_normal((5, 6)))
+
+    def test_one_node_keeping_only_the_map(self):
+        rng = np.random.default_rng(61)
+        a = ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        b = ad.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        out = ad.attention_map(a, b)
+        assert out._parents == (a, b)
+        held = [c.cell_contents for c in out._backward.__closure__]
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        assert [x.shape for x in arrays] == [(4, 5)]
+        assert arrays[0] is out.values
+
+    def test_non_finite_logits_raise(self):
+        a = ad.Tensor([[1e200, 1e200]])
+        b = ad.Tensor([[1e200, 1e200], [1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteInput):
+                ad.attention_map(a, b)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            ad.attention_map(ad.Tensor(np.zeros((3, 2))),
+                             ad.Tensor(np.zeros((3, 4))))
+

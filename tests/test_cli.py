@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pairpose.fileio as fileio
-from pairpose.cli import main
+from pairpose.cli import _load_config, build_parser, main
 from pairpose.geom import Pose, pose_apply, rotation_geodesic_angle
 from pairpose.net import init_params
 from pairpose.solver import CorrespondenceSet
@@ -254,6 +254,20 @@ class TestTrainEvalCommands:
         for ext in (".csv", ".json"):
             assert (Path(outs[0] + ext).read_bytes()
                     == Path(outs[1] + ext).read_bytes())
+
+    def test_seed_flag_wins_over_set_seed(self, tmp_path, toy_config):
+        args = build_parser().parse_args(
+            ["synth", "--out", str(tmp_path), "--config", toy_config,
+             "--set", "seed=3", "--seed", "5"])
+        assert _load_config(args).seed == 5
+
+    def test_set_key_given_twice_is_one_error_line(self, tmp_path, toy_config,
+                                                    capsys):
+        rc = main(["synth", "--out", str(tmp_path / "ds"), "--config",
+                   toy_config, "--set", "seed=3", "--set", "seed=4"])
+        assert_one_error_line(capsys, rc, "SchemaViolation",
+                              "--set, lines 1 and 2 both set seed")
+        assert not (tmp_path / "ds").exists()
 
     def test_eval_rejects_wrong_point_count(self, tmp_path, toy_config, capsys):
         ds_dir = str(tmp_path / "ds")

@@ -228,6 +228,26 @@ class TestConfig:
                                  "attention_for_match: expected a boolean"):
             fileio.load_config(path, overrides=["attention_for_match=maybe"])
 
+    def test_key_set_twice_in_a_file_names_both_lines(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("n=64\nlr=0.002\n# n=32 in a comment is no line\n"
+                        "n=128\n")
+        with pytest.raises(SchemaViolation,
+                           match=re.escape(f"{path}, lines 1 and 4 both "
+                                           f"set n")):
+            fileio.load_config(path)
+
+    def test_key_set_twice_by_set_names_both_lines(self):
+        with pytest.raises(SchemaViolation,
+                           match="^--set, lines 1 and 3 both set epochs$"):
+            fileio.load_config(overrides=["epochs=2", "n=64", "epochs=3"])
+
+    def test_set_overrides_a_key_of_the_file(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("n=64\nepochs=2\n")
+        cfg = fileio.load_config(path, overrides=["n=128"])
+        assert (cfg.n, cfg.epochs) == (128, 2)
+
     def test_validation_of_derived_specs(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("occlusion_fraction=1.5\n")
@@ -421,6 +441,18 @@ class TestCheckpoint:
         path, header, payload = tiny_checkpoint(tmp_path, 12)
         write_back(path, corrupt(header), payload)
         with pytest.raises(SchemaViolation, match="ckpt.json"):
+            fileio.read_checkpoint(path)
+
+    def test_config_key_set_twice_rejected(self, tmp_path):
+        path, header, payload = tiny_checkpoint(tmp_path, 12)
+        lines = header["config"].splitlines()
+        keys = [line.split("=", 1)[0] for line in lines]
+        first = 1 + keys.index("num_pairs")
+        text = header["config"] + "num_pairs=7\n"
+        write_back(path, {**header, "config": text}, payload)
+        with pytest.raises(SchemaViolation, match=re.escape(
+                f"{path}: config, lines {first} and {len(lines) + 1} both "
+                f"set num_pairs")):
             fileio.read_checkpoint(path)
 
     @pytest.mark.parametrize("element", [

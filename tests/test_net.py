@@ -632,14 +632,15 @@ class TestSinglePassEvaluation:
     def test_copy_ops_per_forward_pass(self, monkeypatch):
         # the dense layers read their fused inputs as column blocks; only
         # the two extractors' [features | global row] are concatenated, and
-        # only the attention logits transpose
+        # the attention map is one op that keeps no transposed f_ma
         ds = tiny_dataset(n_scenes=1, n=24, seed=50)
         prep = net.scene_inputs(ds.records[0].scene, ds.model)
         params = net.init_params(TINY, 24, np.random.default_rng(51))
         calls = Counting(monkeypatch, "concat_cols", "repeat_rows",
-                         "transpose", module=ad).calls
+                         "transpose", "attention_map", module=ad).calls
         net.forward_all(prep, params, TINY)
-        assert calls == {"concat_cols": 2, "repeat_rows": 2, "transpose": 1}
+        assert calls == {"concat_cols": 2, "repeat_rows": 2, "transpose": 0,
+                         "attention_map": 1}
 
     def test_traced_names_are_net_attributes(self):
         # the benchmark's tracer looks these up on net with getattr

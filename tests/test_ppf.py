@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from pairpose.errors import SizeMismatch
-from pairpose.geom import OrientedPointCloud, Pose, pose_apply, pose_compose, random_pose
+from pairpose.geom import (PAIR_BLOCK_ENTRIES, OrientedPointCloud, Pose,
+                           pose_apply, pose_compose, pose_invert, random_pose,
+                           row_blocks)
 from pairpose.ppf import (
+    COINCIDENT_TOL,
     PpfGammas,
+    _acos,
     attention_target,
     ppf_cross_angle,
     ppf_distance,
@@ -166,3 +170,62 @@ class TestAttentionTarget:
         start = time.perf_counter()
         attention_target(scene, model, gt)
         assert time.perf_counter() - start < 1.0
+
+
+def whole_attention_target(scene, model, gt, gammas=PpfGammas()):
+    """``attention_target``'s weights computed over whole (N, N, 3) arrays,
+    as it did before it worked in row blocks: the bit-for-bit oracle of the
+    blocked target."""
+    canonical = pose_apply(pose_invert(gt), scene, frame="canonical")
+    sp, sn = canonical.positions, canonical.normals
+    mp, mn = model.positions, model.normals
+    diff = sp[:, None, :] - mp[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    theta = _acos(sn @ mn.T)
+    safe = np.maximum(dist, COINCIDENT_TOL)[:, :, None]
+    dhat = diff / safe
+    ang_s = _acos(np.einsum("ik,ijk->ij", sn, dhat))
+    ang_m = _acos(np.einsum("jk,ijk->ij", mn, dhat))
+    theta_d = np.where(dist < COINCIDENT_TOL, 0.0, 0.5 * (ang_s + ang_m))
+    return 1.0 / (1.0 + gammas.gamma1 * dist + gammas.gamma2 * theta_d
+                  + gammas.gamma3 * theta)
+
+
+class TestAttentionTargetBlocks:
+    """The row-blocked target against the whole-array computation, bit for
+    bit, at sizes on and off the block grid of ``geom.row_blocks``."""
+
+    # one point; one block below its row budget; exactly one full block
+    # (128 rows of 128 columns); a full block plus 2 rows; a partial last
+    # block; and the paper's N
+    @pytest.mark.parametrize("n", [1, 2, 100, 128, 129, 200, 1000])
+    def test_equals_the_whole_array_computation(self, n):
+        rows = [r.stop - r.start for r in row_blocks(n, n)]
+        assert sum(rows) == n and max(rows) <= max(1, PAIR_BLOCK_ENTRIES // n)
+        rng = np.random.default_rng(n)
+        model = make_cloud(rng, n, frame="model")
+        gt = random_pose(rng, trans_scale=0.2)
+        # the first half of the scene is the posed model: coincident pairs
+        # with aligned normals, weight 1 up to rounding
+        scene = pose_apply(gt, make_cloud(rng, n), frame="scene")
+        posed = pose_apply(gt, model, frame="scene")
+        half = (n + 1) // 2
+        scene = OrientedPointCloud(
+            np.vstack([posed.positions[:half], scene.positions[half:]]),
+            np.vstack([posed.normals[:half], scene.normals[half:]]), "scene")
+        g = PpfGammas(80.0, 40.0, 20.0)
+        w = attention_target(scene, model, gt, g).weights
+        expected = whole_attention_target(scene, model, gt, g)
+        assert w.shape == (n, n) and w.tobytes() == expected.tobytes()
+
+    def test_exact_coincidence_and_alignment(self):
+        # identity pose: scene point i is model point i bit for bit, so the
+        # coincident and aligned branches give exactly 1 on the diagonal
+        rng = np.random.default_rng(8)
+        model = make_cloud(rng, 150, frame="model")
+        scene = OrientedPointCloud(model.positions, model.normals, "scene")
+        w = attention_target(scene, model, Pose.identity()).weights
+        expected = whole_attention_target(scene, model, Pose.identity())
+        assert w.tobytes() == expected.tobytes()
+        assert np.all(np.diag(w) == 1.0)
+
