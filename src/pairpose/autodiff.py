@@ -22,8 +22,13 @@ A graph and its tensors form a single-threaded unit of work; parameters are
 plain leaf tensors whose ``values`` the optimizer updates in place.
 ``backward`` consumes the graph: once an interior tensor's VJP has run, the
 tensor drops its gradient, closure and parent links, so the graph upstream
-of it is freed during the walk.  Only leaves keep ``grad``; every tensor
-keeps ``values``.  A graph can therefore be walked once.
+of it is freed during the walk.  Only leaves keep ``grad``, until a caller
+drops it; every tensor keeps ``values``.  A graph can therefore be walked
+once.  ``backward`` can hand each leaf to a callback as soon as its last
+consumer's VJP has run: its gradient is then final and no later VJP reads
+its ``values``, so training applies Adam (``adam_update``, in place over
+row blocks) to that one parameter and drops its gradient, and a step never
+holds every parameter's gradient at once.
 """
 
 from __future__ import annotations
@@ -97,17 +102,26 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
-def backward(loss: Tensor):
+def backward(loss: Tensor, on_leaf=None):
     """Populate ``grad`` on every requires_grad leaf reachable from loss.
 
     Consumes the graph: after an interior tensor's VJP has run, its
     ``grad``, ``_backward`` and ``_parents`` are cleared, so what no caller
     still holds is freed as the walk goes.  Interior tensors (the loss too)
     keep only their ``values``.
+
+    ``on_leaf(leaf)``, when given, is called once per requires_grad leaf
+    reachable from loss, as soon as the VJPs of all the nodes that link it
+    have run (those of nodes whose ``grad`` is None too): the leaf's
+    ``grad`` is then final (None when no gradient reached it), and no later
+    VJP reads its ``values``, so the callback may update them in place and
+    drop ``grad``.
     """
     if loss.shape != (1, 1):
         raise NonScalarLoss(f"backward needs a 1x1 loss, got {loss.shape}")
     topo, seen = [], set()
+    # id(leaf) -> links to it from nodes whose VJP has not run yet
+    links = {}
     stack = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
@@ -119,17 +133,30 @@ def backward(loss: Tensor):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
+            if not p._parents:
+                links[id(p)] = links.get(id(p), 0) + 1
             if id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones((1, 1))
+    if on_leaf is not None and loss.requires_grad and not loss._parents:
+        on_leaf(loss)
     while topo:
         node = topo.pop()
-        if not node._parents:
+        parents = node._parents
+        if not parents:
             continue
         if node.grad is not None:
             node._backward(node.grad)
         node.grad = node._backward = None
         node._parents = ()
+        for p in parents:
+            if id(p) in links:
+                links[id(p)] -= 1
+                if not links[id(p)]:
+                    # an unlinked leaf may be freed: its id leaves the table
+                    del links[id(p)]
+                    if on_leaf is not None:
+                        on_leaf(p)
 
 
 def zero_grad(params):
@@ -581,25 +608,44 @@ def init_adam_state(params: dict) -> dict:
     }
 
 
+def adam_update(state: dict, name: str, p: Tensor, g, lr: float = 1e-3,
+                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """Adam's update of the one parameter ``p``, keyed ``name`` in ``state``,
+    for the step that ``state["step"]`` already counts; ``g`` is its gradient
+    (None for zero).  Mutates ``p.values`` and the moments in place, one
+    ``geom.row_blocks`` slice at a time, so its temporaries are block-sized.
+    Every operation is elementwise and in the whole-array formula's order,
+    so the bits are those of that formula."""
+    if g is None:
+        g = np.zeros_like(p.values)
+    if g.shape != p.values.shape:
+        raise ShapeMismatch(f"grad shape {g.shape} != param shape "
+                            f"{p.values.shape} for {name!r}")
+    t = state["step"]
+    m_all = state["m"][name]
+    v_all = state["v"][name]
+    for rows in row_blocks(*p.shape):
+        gb, m, v = g[rows], m_all[rows], v_all[rows]
+        m *= beta1
+        m += (1.0 - beta1) * gb
+        v *= beta2
+        gg = (1.0 - beta2) * gb
+        gg *= gb
+        v += gg
+        step = m / (1.0 - beta1 ** t)                   # m_hat
+        root = v / (1.0 - beta2 ** t)                   # v_hat
+        np.sqrt(root, out=root)
+        root += eps
+        step *= lr
+        step /= root
+        p.values[rows] -= step
+
+
 def adam_step(params: dict, grads: dict, state: dict, lr: float = 1e-3,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One Adam update; mutates params and state in place and returns them."""
+    """One Adam step, ``adam_update`` of every parameter (a missing gradient
+    counts as zero); mutates params and state in place and returns them."""
     state["step"] += 1
-    t = state["step"]
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.values)
-        if g.shape != p.values.shape:
-            raise ShapeMismatch(f"grad shape {g.shape} != param shape "
-                                f"{p.values.shape} for {name!r}")
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        adam_update(state, name, p, grads.get(name), lr, beta1, beta2, eps)
     return params, state

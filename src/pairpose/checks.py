@@ -197,8 +197,11 @@ def run_op_grad_suites(instances: int = 100, h: float = 1e-5, tol: float = 1e-4,
     """Run ``instances`` random gradient checks per op.
 
     Returns {"per_op": {name: max_rel_err}, "kinks": total kink-resolved
-    coordinates, "passed": bool, ...}.
+    coordinates, "passed": bool, ...}.  Raises ValueError when ``instances``
+    is below 1: a suite that checks nothing must not pass.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     results = {}
     kinks = 0
     passed = True

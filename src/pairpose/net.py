@@ -37,7 +37,8 @@ class NetConfig:
     """Architecture, mechanism flags, pair-feature weights, and optimizer
     settings.  Each field is also the flat ``fileio.Config`` key of the same
     name; the defaults are the published hyperparameters.  Adam's betas and
-    epsilon are ``autodiff.adam_step``'s defaults."""
+    epsilon are the defaults of ``autodiff.adam_update``, which ``train``
+    applies to each parameter as its gradient becomes final."""
 
     # pair-feature weights of the PPF attention target (see ppf.PpfGammas)
     gamma1: float = 100.0
@@ -512,7 +513,15 @@ def train(dataset: Dataset, cfg: NetConfig, seed: int = 0):
 
     Returns (params, log) where log is one dict per epoch with the mean of
     each loss term.  Raises NonFiniteLoss with the failing step index if a
-    step produces NaN/inf anywhere.
+    step's forward pass or loss produces NaN/inf; the parameters then hold
+    the previous step's values.
+
+    Each parameter takes its Adam update (``autodiff.adam_update``) as soon
+    as ``autodiff.backward`` reports its gradient final, and drops the
+    gradient, so a step holds only the gradients still accumulating; a
+    parameter that no gradient reached takes a zero-gradient update after
+    the walk.  The parameters, moments and step count are those of
+    ``autodiff.adam_step`` on the step's gradients, bit for bit.
     """
     rng = np.random.default_rng(seed)
     n_points = len(dataset.model)
@@ -525,6 +534,7 @@ def train(dataset: Dataset, cfg: NetConfig, seed: int = 0):
     if not prepared:
         raise ValueError("dataset has no training scenes")
 
+    names = {id(p): k for k, p in params.items()}
     log = []
     step = 0
     for epoch in range(cfg.epochs):
@@ -534,18 +544,28 @@ def train(dataset: Dataset, cfg: NetConfig, seed: int = 0):
                 "total": 0.0}
         for idx in order:
             prep = prepared[idx]
-            ad.zero_grad(params)
             try:
                 outputs = forward_all(prep, params, cfg)
                 loss, terms = scene_losses(prep, outputs, cfg,
                                            dataset.symmetric, model_points)
-                ad.backward(loss)
             except NonFiniteInput as exc:
                 raise NonFiniteLoss(f"non-finite value at step {step}: {exc}")
+            # before backward, which updates the parameters
             if not np.isfinite(loss.item()):
                 raise NonFiniteLoss(f"loss diverged at step {step}")
-            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-            ad.adam_step(params, grads, state, lr=lr)
+            state["step"] += 1
+            stale = dict(params)
+
+            def update(leaf):
+                # the leaf's gradient is final: step it and let the grad go
+                name = names[id(leaf)]
+                ad.adam_update(state, name, leaf, leaf.grad, lr)
+                leaf.grad = None
+                del stale[name]
+
+            ad.backward(loss, on_leaf=update)
+            for name, p in stale.items():
+                ad.adam_update(state, name, p, None, lr)
             for k, v in terms.items():
                 sums[k] += v
             sums["total"] += loss.item()

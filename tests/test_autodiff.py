@@ -270,6 +270,88 @@ class TestGraphRelease:
         assert graph < 15.0, graph
 
 
+def consumers_of_leaves(loss):
+    """id(leaf) -> the nodes that link the leaf, found before the walk."""
+    found, seen, stack = {}, set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for p in node._parents:
+            if not p._parents:
+                found.setdefault(id(p), []).append(node)
+            stack.append(p)
+    return found
+
+
+class TestLeafCallback:
+    @staticmethod
+    def walk(loss):
+        """Run backward with a callback that records each leaf reported and
+        checks that every node linking it has been cleared by then."""
+        consumers = consumers_of_leaves(loss)
+        reported = []
+
+        def on_leaf(leaf):
+            for node in consumers.get(id(leaf), ()):
+                assert node._parents == () and node._backward is None
+                assert node.grad is None
+            reported.append(leaf)
+
+        ad.backward(loss, on_leaf=on_leaf)
+        return consumers, reported
+
+    @pytest.mark.parametrize("source", ["psn", "branch"])
+    def test_fires_once_per_leaf_after_its_consumers(self, source):
+        cfg = replace(TINY, attention_source=source)
+        dataset = tiny_dataset(n_scenes=1)
+        params = net.init_params(cfg, len(dataset.model),
+                                 np.random.default_rng(0))
+        _, loss = scene_loss(params, cfg, dataset)
+        consumers, reported = self.walk(loss)
+        assert sorted(map(id, reported)) == sorted(map(id, params.values()))
+        assert all(p.grad is not None for p in reported)
+        if source == "psn":
+            # the PSN weights serve the scene and the model side
+            assert len(consumers[id(params["psn.t0.w"])]) == 2
+
+    def test_shared_leaf_waits_for_both_consumers(self):
+        rng = np.random.default_rng(9)
+        w = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        a, b = (ad.Tensor(rng.standard_normal((4, 3))) for _ in range(2))
+        target = ad.Tensor(np.zeros((4, 2)))
+        left, right = ad.matmul(a, w), ad.matmul(b, w)
+        loss = ad.add(ad.mse(left, target), ad.mse(right, target))
+        _, reported = self.walk(loss)
+        assert reported == [w]
+        scale = 2.0 / left.values.size
+        np.testing.assert_allclose(
+            w.grad, scale * (a.values.T @ left.values + b.values.T @ right.values))
+
+    def test_leaf_behind_a_node_without_gradient_still_fires(self):
+        rng = np.random.default_rng(10)
+        x = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        y = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        hidden = ad.relu(x)
+        # a node that sends no gradient back: hidden keeps grad None
+        stopped = ad._result(hidden.values, (hidden,), lambda g: None)
+        loss = ad.add(ad.mse(stopped, ad.Tensor(np.zeros((2, 3)))),
+                      ad.l1(y, ad.Tensor(np.zeros((2, 3)))))
+        _, reported = self.walk(loss)
+        assert sorted(map(id, reported)) == sorted([id(x), id(y)])
+        assert x.grad is None and y.grad is not None
+
+    def test_leaf_loss_fires_once(self):
+        w = ad.Tensor([[2.0]], requires_grad=True)
+        reported = []
+        ad.backward(w, on_leaf=reported.append)
+        assert reported == [w] and w.grad.tolist() == [[1.0]]
+        reported.clear()
+        ad.backward(ad.Tensor([[2.0]]), on_leaf=reported.append)
+        assert reported == []
+
+
 def dense_chain(x, w, b, relu=False):
     """The three-node layer that ``dense`` replaces."""
     z = ad.add(ad.matmul(x, w), b)
@@ -522,6 +604,11 @@ class TestOpSuites:
         assert result["passed"], result["per_op"]
         assert result["kinks"] == 0  # the builders avoid kinks by construction
 
+    @pytest.mark.parametrize("instances", [0, -2])
+    def test_no_instances_rejected(self, instances):
+        with pytest.raises(ValueError, match="instances"):
+            run_op_grad_suites(instances=instances)
+
 
 class TestAdam:
     def test_zero_grad_leaves_params(self):
@@ -558,6 +645,72 @@ class TestAdam:
         state = ad.init_adam_state(params)
         with pytest.raises(ShapeMismatch):
             ad.adam_step(params, {"w": np.zeros((2, 2))}, state)
+
+
+def whole_adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999,
+                    eps=1e-8):
+    """Adam over whole arrays, the formula ``adam_update`` blocks."""
+    state["step"] += 1
+    t = state["step"]
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p.values)
+        if g.shape != p.values.shape:
+            raise ShapeMismatch(f"grad shape {g.shape} != param shape "
+                                f"{p.values.shape} for {name!r}")
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        p.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params, state
+
+
+class TestRowBlockedAdam:
+    # 512 columns make 32-row blocks: one whole block, a partial last block
+    # and the published PSN output layer's (1048, 512) weight
+    SHAPES = {"one": (1, 1), "row": (1, 512), "block": (32, 512),
+              "partial": (40, 512), "psn_out": (1048, 512), "nograd": (3, 7)}
+
+    def test_shapes_cover_the_block_edges(self):
+        assert len(row_blocks(*self.SHAPES["block"])) == 1
+        assert [b.stop - b.start for b in row_blocks(*self.SHAPES["partial"])] \
+            == [32, 8]
+        assert len(row_blocks(*self.SHAPES["psn_out"])) == 33
+
+    def test_matches_the_whole_array_formula_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        init = {k: rng.standard_normal(s) for k, s in self.SHAPES.items()}
+
+        def make():
+            params = {k: ad.Tensor(v.copy(), requires_grad=True)
+                      for k, v in init.items()}
+            return params, ad.init_adam_state(params)
+
+        got, got_state = make()
+        want, want_state = make()
+        for step in range(5):
+            # gradients over several decades, some exactly zero
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3, s)
+                     for k, s in self.SHAPES.items()}
+            if step % 2:
+                # a missing gradient on moments that are not zero
+                del grads["nograd"]
+            grads["row"][0, :7] = 0.0
+            lr = 1e-3 * (0.9 ** step)
+            ad.adam_step(got, grads, got_state, lr=lr)
+            whole_adam_step(want, grads, want_state, lr=lr)
+            assert got_state["step"] == want_state["step"] == step + 1
+            for k in self.SHAPES:
+                assert got[k].values.tobytes() == want[k].values.tobytes(), k
+                for moment in ("m", "v"):
+                    assert (got_state[moment][k].tobytes()
+                            == want_state[moment][k].tobytes()), (k, moment)
 
 
 def reference_selection(quats_values, trans_values, points, targets):

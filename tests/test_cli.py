@@ -428,6 +428,20 @@ class TestGradcheckCommand:
         assert "--set" in err["message"] and "bogus_key" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_no_instances_is_one_error(self, tmp_path, capsys, instances):
+        out = tmp_path / "report.json"
+        assert main(["gradcheck", "--instances", instances,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "pass" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert "instances" in err["message"]
+        assert not out.exists()
+
 
 class TestAblateCommand:
     def test_attention_grid_rows(self, tmp_path, toy_config):

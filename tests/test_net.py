@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,141 @@ class TestTraining:
         checkpoints = [l_d[i] for i in range(50, 500, 50)] + [l_d[-1]]
         assert all(b < a for a, b in zip(checkpoints, checkpoints[1:]))
         assert l_d[-1] < 0.3 * l_d[50]
+
+
+def reference_train(dataset, cfg, seed=0, steps=None):
+    """``net.train`` as forward, ``backward``, collect the gradients, then
+    ``adam_step``; stops after ``steps`` steps when given."""
+    rng = np.random.default_rng(seed)
+    params = net.init_params(cfg, len(dataset.model), rng)
+    state = ad.init_adam_state(params)
+    prepared = [net.prepare_scene(r.scene, dataset.model, r.gt, cfg)
+                for r in dataset.train_records]
+    log, step = [], 0
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr * cfg.lr_decay ** epoch
+        sums = dict.fromkeys(("L_d", "L_s", "L_m", "L_attention", "total"),
+                             0.0)
+        for idx in rng.permutation(len(prepared)):
+            if step == steps:
+                return params, log
+            prep = prepared[idx]
+            ad.zero_grad(params)
+            outputs = net.forward_all(prep, params, cfg)
+            loss, terms = net.scene_losses(prep, outputs, cfg,
+                                           dataset.symmetric,
+                                           dataset.model.positions)
+            ad.backward(loss)
+            grads = {k: p.grad for k, p in params.items()
+                     if p.grad is not None}
+            ad.adam_step(params, grads, state, lr=lr)
+            for k, v in terms.items():
+                sums[k] += v
+            sums["total"] += loss.item()
+            step += 1
+        n = len(prepared)
+        log.append({"epoch": epoch, **{k: v / n for k, v in sums.items()}})
+    return params, log
+
+
+def capture_params(monkeypatch):
+    """A list that receives the parameter dict ``net.train`` initializes."""
+    captured = []
+    original = net.init_params
+
+    def init_params(*args, **kwargs):
+        params = original(*args, **kwargs)
+        captured.append(params)
+        return params
+
+    monkeypatch.setattr(net, "init_params", init_params)
+    return captured
+
+
+def assert_same_params(got, want):
+    assert got.keys() == want.keys()
+    for name in got:
+        assert got[name].values.tobytes() == want[name].values.tobytes(), name
+
+
+class TestLeafByLeafAdam:
+    """``train`` steps each parameter as ``backward`` finalizes its
+    gradient; the results are those of a whole-step ``adam_step``."""
+
+    @pytest.mark.parametrize("kind, changes", [
+        ("box_with_bump", {}), ("box", {}),
+        ("box_with_bump", {"attention_source": "branch"}),
+        # the PSN only feeds the detached head input: no gradient reaches it
+        ("box_with_bump", {"ppf_supervision": False})],
+        ids=["add", "adds", "branch", "psn_without_gradient"])
+    def test_bit_identical_to_a_whole_step_loop(self, kind, changes):
+        ds = tiny_dataset(n_scenes=3, n=24, seed=51, kind=kind)
+        cfg = replace(TINY, epochs=3, lr_decay=0.9, **changes)
+        params, log = net.train(ds, cfg, seed=2)
+        want_params, want_log = reference_train(ds, cfg, seed=2)
+        assert log == want_log
+        assert_same_params(params, want_params)
+        assert all(p.grad is None for p in params.values())
+
+    def test_live_gradients_stay_below_the_parameter_bytes(self, monkeypatch):
+        # gradients only grow between callbacks and the last leaf is reported
+        # after the last VJP, so the most held at once is seen on entry to a
+        # callback
+        ds = tiny_dataset(n_scenes=1, n=24, seed=52)
+        captured = capture_params(monkeypatch)
+        original = ad.backward
+        seen, peak = [], [0]
+
+        def backward(loss, on_leaf=None):
+            def counting(leaf):
+                live = sum(p.grad.nbytes for p in captured[0].values()
+                           if p.grad is not None)
+                peak[0] = max(peak[0], live)
+                seen.append(leaf)
+                on_leaf(leaf)
+            original(loss, on_leaf=counting)
+
+        monkeypatch.setattr(ad, "backward", backward)
+        params, _ = net.train(ds, replace(TINY, epochs=1), seed=0)
+        total = sum(p.values.nbytes for p in params.values())
+        assert sorted(map(id, seen)) == sorted(map(id, params.values()))
+        assert 0 < peak[0] < total, (peak[0], total)
+
+    @pytest.mark.parametrize("where", ["loss", "input"])
+    def test_non_finite_step_names_it_and_keeps_the_last_params(
+            self, monkeypatch, where):
+        ds = tiny_dataset(n_scenes=3, n=24, seed=53)
+        cfg = replace(TINY, epochs=3)
+        bad_step = 4
+        captured = capture_params(monkeypatch)
+        calls = [0]
+        original_losses = net.scene_losses
+        original_forward = net.forward_all
+
+        def scene_losses(*args, **kwargs):
+            loss, terms = original_losses(*args, **kwargs)
+            if where == "loss" and calls[0] == bad_step:
+                loss.values[0, 0] = np.nan
+            calls[0] += 1
+            return loss, terms
+
+        def forward_all(prep, params, cfg):
+            if where == "input" and calls[0] == bad_step:
+                xs = ad.Tensor(prep.xs_feat.values.copy())
+                xs.values[0, 0] = np.inf
+                prep = replace(prep, xs_feat=xs)
+            return original_forward(prep, params, cfg)
+
+        monkeypatch.setattr(net, "scene_losses", scene_losses)
+        monkeypatch.setattr(net, "forward_all", forward_all)
+        with pytest.raises(NonFiniteLoss, match=f"at step {bad_step}"):
+            net.train(ds, cfg, seed=1)
+        monkeypatch.undo()
+        want, _ = reference_train(ds, cfg, seed=1, steps=bad_step)
+        assert_same_params(captured[0], want)
+        fresh = net.init_params(cfg, 24, np.random.default_rng(1))
+        assert not np.array_equal(want["psn.t0.w"].values,
+                                  fresh["psn.t0.w"].values)
 
 
 class TestEndToEndGradient:
