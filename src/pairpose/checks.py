@@ -236,10 +236,11 @@ def run_end_to_end_grad_check(h: float = 1e-5, tol: float = 1e-3,
                      translation=((-0.05,) * 3, (0.05,) * 3))
     ds = make_dataset(shape, 1, spec, seed=seed, train_fraction=1.0)
     rec = ds.records[0]
-    params = init_params(cfg, 16, np.random.default_rng(seed))
+    params = init_params(cfg, np.random.default_rng(seed))
     prep = prepare_scene(rec.scene, ds.model, rec.gt, cfg)
-    # the heads' attention input is a detached (no-gradient) channel; fix it
-    # across evaluations so central differences see the same cut
+    # the heads read the map through detached (no-gradient) pointers; fix
+    # the map they are built from across evaluations so central differences
+    # see the same cut
     frozen = forward_all(prep, params, cfg)["attention"].values.copy()
 
     def f():

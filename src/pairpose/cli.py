@@ -81,12 +81,8 @@ def cmd_eval(args) -> int:
         raise SchemaViolation(f"--set: eval reads only seed, not "
                               f"{', '.join(sorted(keys))}")
     args_cfg = _load_config(args)
-    params, ckpt_cfg, n_points = fileio.read_checkpoint(args.checkpoint)
+    params, ckpt_cfg, _ = fileio.read_checkpoint(args.checkpoint)
     dataset = fileio.load_dataset(args.dataset)
-    if len(dataset.model) != n_points:
-        raise PairposeError(
-            f"checkpoint was trained with {n_points} points, dataset has "
-            f"{len(dataset.model)}")
     records, diag = net.evaluate_dataset(params, ckpt_cfg.net_config(), dataset,
                                          which=args.split, seed=args_cfg.seed)
     name = dataset.shape_spec.kind

@@ -9,12 +9,14 @@ which is also bit-exact.  Formats:
 * pose.v1 JSON {"format", "q": [w,x,y,z], "t": [x,y,z]}, pose sets as JSON
   arrays of the same plus "provenance";
 * matrix.v1: "rows cols" header line, then one whitespace row per line;
-* checkpoint.v6: one JSON header line (format, point count, the config's
+* checkpoint.v7: one JSON header line (format, point count, the config's
   key=value text and each tensor's [name, shape]), then each tensor's
   C-order little-endian float64 bytes; shapes are validated on load, and
-  checkpoints v1 to v5 are rejected;
+  checkpoints v1 to v6 are rejected;
 * corr.v1 JSON: correspondence sets (source/target positions + normals);
-* dataset.v1: a directory of scene PLYs plus a manifest.
+* dataset.v1: a directory of scene PLYs plus a manifest; each scene entry
+  must name a train or test split, an integer seed and a PLY of the
+  model's point count.
 
 A ``Config`` (flat key=value lines) validates itself when it is constructed,
 so a config file, ``--set``, ``replace`` and a checkpoint's config are all
@@ -457,22 +459,23 @@ def write_config(path, cfg: Config):
 # ---------------------------------------------------------------------------
 
 # each starts '{"format": "checkpoint.vN"': v1 to v4 are one JSON object,
-# v5 is a header line whose config is a JSON object of typed values
+# v5 is a header line whose config is a JSON object of typed values, and v6
+# is v7's layout with heads whose input width grows with the point count
 _OLD_CHECKPOINTS = ("checkpoint.v1", "checkpoint.v2", "checkpoint.v3",
-                    "checkpoint.v4", "checkpoint.v5")
+                    "checkpoint.v4", "checkpoint.v5", "checkpoint.v6")
 # bytes a header line may take: a paper-scale header takes 2.3 KB, and a
 # v4 file is one line of the whole file's size
 _HEADER_LIMIT = 1 << 20
 
 
 def write_checkpoint(path, params: dict, cfg: Config, n_points: int):
-    """Write checkpoint.v6: one line of ``json.dumps`` holding the format,
+    """Write checkpoint.v7: one line of ``json.dumps`` holding the format,
     ``n_points``, the config as the string ``config_text`` makes and the
     ``[name, shape]`` of each tensor in sorted-name order, then each
     tensor's C-order little-endian float64 bytes in the same order."""
     tensors = sorted(params.items())
     header = json.dumps({
-        "format": "checkpoint.v6",
+        "format": "checkpoint.v7",
         "n_points": n_points,
         "config": config_text(cfg),
         "tensors": [[name, list(p.values.shape)] for name, p in tensors],
@@ -484,30 +487,31 @@ def write_checkpoint(path, params: dict, cfg: Config, n_points: int):
 
 
 def _read_header(fh, path) -> dict:
-    """The parsed header line of checkpoint.v6; the older formats are
+    """The parsed header line of checkpoint.v7; the older formats are
     recognized from their first bytes and rejected."""
     line = fh.readline(_HEADER_LIMIT)
     for fmt in _OLD_CHECKPOINTS:
         if line.startswith(f'{{"format": "{fmt}"'.encode()):
             raise SchemaViolation(f"{path}: {fmt} is no longer read; "
-                                  f"retrain the model to write checkpoint.v6")
+                                  f"retrain the model to write checkpoint.v7")
     if not line.endswith(b"\n"):
-        raise SchemaViolation(f"{path}: expected checkpoint.v6, which starts "
+        raise SchemaViolation(f"{path}: expected checkpoint.v7, which starts "
                               f"with a JSON header line")
     try:
         header = json.loads(line.decode("utf-8"))
     except (ValueError, RecursionError) as exc:   # bad JSON or UTF-8
         raise SchemaViolation(f"{path}: not a checkpoint header: {exc}")
-    if not isinstance(header, dict) or header.get("format") != "checkpoint.v6":
-        raise SchemaViolation(f"{path}: expected checkpoint.v6")
+    if not isinstance(header, dict) or header.get("format") != "checkpoint.v7":
+        raise SchemaViolation(f"{path}: expected checkpoint.v7")
     return header
 
 
 def read_checkpoint(path):
-    """Load (params, config, n_points) from checkpoint.v6; the config text
+    """Load (params, config, n_points) from checkpoint.v7; the config text
     is read as a config file is, tensor names and shapes must match what it
     implies, and the tensors' bytes must fill the rest of the file
-    exactly."""
+    exactly.  ``n_points`` is the training point count; no shape depends on
+    it, and a checkpoint evaluates clouds of any size."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         text = header.get("config")
@@ -518,7 +522,7 @@ def read_checkpoint(path):
         n_points = header.get("n_points")
         if type(n_points) is not int or n_points < 1:
             raise SchemaViolation(f"{path}: bad n_points")
-        expected = expected_param_shapes(cfg.net_config(), n_points)
+        expected = expected_param_shapes(cfg.net_config())
         tensors = header.get("tensors")
         if not isinstance(tensors, list):
             raise SchemaViolation(f"{path}: tensors must be a JSON array")
@@ -670,11 +674,22 @@ def load_dataset(in_dir) -> Dataset:
                                   f"{manifest['symmetric']!r:.40}")
         records, train_idx, test_idx = [], [], []
         for i, entry in enumerate(manifest["scenes"]):
+            where = f"{path}: scene {i}"
+            split, seed = entry["split"], entry["scene_seed"]
+            if split not in ("train", "test"):
+                raise SchemaViolation(f"{where}: split must be 'train' or "
+                                      f"'test', got {split!r:.40}")
+            if type(seed) is not int:
+                raise SchemaViolation(f"{where}: scene_seed must be an "
+                                      f"integer, got {seed!r:.40}")
             scene = read_ply(os.path.join(in_dir, entry["file"]))
-            records.append(SceneRecord(
-                scene, pose_from_obj(entry["pose"], f"{path}: scene {i}"),
-                entry["scene_seed"]))
-            (train_idx if entry["split"] == "train" else test_idx).append(i)
+            if len(scene) != len(model):
+                raise SchemaViolation(f"{where}: {entry['file']} has "
+                                      f"{len(scene)} points but model.ply "
+                                      f"has {len(model)}")
+            records.append(SceneRecord(scene, pose_from_obj(entry["pose"],
+                                                            where), seed))
+            (train_idx if split == "train" else test_idx).append(i)
         return Dataset(model=model.with_frame("model"), records=tuple(records),
                        train_indices=tuple(train_idx),
                        test_indices=tuple(test_idx),

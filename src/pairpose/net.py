@@ -5,7 +5,9 @@ so the whole model is expressible over 2-D tensors.  The pseudo-siamese
 feature network (PSN) runs the same weights over both clouds and swaps in
 an "exterior" global feature pooled from the opposite cloud; its outputs
 form the attention map.  Two separate extractors feed the bidirectional
-correspondence heads and the direct pose head.
+correspondence heads and the direct pose head, which read the map through
+``head_pointers``: each point's attention-weighted point of the other
+cloud, so no parameter's shape depends on the point count.
 
 Scene clouds are centered (centroid subtracted) before entering the
 network and all scene-frame outputs carry the centroid back out, so
@@ -134,19 +136,19 @@ def _feat_layer_dims(cfg: NetConfig, scene_side: bool):
     return dims
 
 
-def _regressor_in_width(cfg: NetConfig, n_points: int, with_attention: bool,
+def _regressor_in_width(cfg: NetConfig, with_attention: bool,
                         inter_branch: bool) -> int:
     width = cfg.decode_width + cfg.feat_out_width  # decoded + short circuit
     if with_attention:
-        width += n_points
+        width += 6      # the attention-weighted [p | n] of the other cloud
     if inter_branch:
         width += cfg.decode_width
     return width
 
 
-def expected_param_shapes(cfg: NetConfig, n_points: int) -> dict:
+def expected_param_shapes(cfg: NetConfig) -> dict:
     """Every learnable tensor's shape, keyed by name; init and checkpoint
-    loading both derive from this."""
+    loading both derive from this.  No shape depends on the point count."""
     shapes = {}
 
     def dense(name, i, o):
@@ -166,7 +168,7 @@ def expected_param_shapes(cfg: NetConfig, n_points: int) -> dict:
 
     for prefix in ("corr_s", "corr_m"):
         dense(f"{prefix}.dec", cfg.feat_out_width, cfg.decode_width)
-        in_w = _regressor_in_width(cfg, n_points, cfg.attention_for_match, True)
+        in_w = _regressor_in_width(cfg, cfg.attention_for_match, True)
         for i, h in enumerate(cfg.head_hidden):
             dense(f"{prefix}.h{i}", in_w, h)
             in_w = h
@@ -174,7 +176,7 @@ def expected_param_shapes(cfg: NetConfig, n_points: int) -> dict:
         dense(f"{prefix}.nrm", in_w, 3)
 
     dense("direct.dec", cfg.feat_out_width, cfg.decode_width)
-    in_w = _regressor_in_width(cfg, n_points, cfg.attention_for_direct, False)
+    in_w = _regressor_in_width(cfg, cfg.attention_for_direct, False)
     for i, h in enumerate(cfg.head_hidden):
         dense(f"direct.h{i}", in_w, h)
         in_w = h
@@ -183,11 +185,11 @@ def expected_param_shapes(cfg: NetConfig, n_points: int) -> dict:
     return shapes
 
 
-def init_params(cfg: NetConfig, n_points: int, rng: np.random.Generator) -> dict:
+def init_params(cfg: NetConfig, rng: np.random.Generator) -> dict:
     """Glorot-uniform weights, zero biases; the quaternion head bias starts
     at the identity rotation so early pose candidates are sane."""
     params = {}
-    for name, shape in expected_param_shapes(cfg, n_points).items():
+    for name, shape in expected_param_shapes(cfg).items():
         if name.endswith(".b"):
             v = np.zeros(shape)
             if name == "direct.quat.b":
@@ -268,17 +270,17 @@ def feature_forward(scene_x, model_x, params, cfg: NetConfig):
             _feat_side(model_x, params, "feat_m", cfg))
 
 
-def _regressor_trunk(f, decoded, attn_rows, exterior, params, prefix,
+def _regressor_trunk(f, decoded, pointers, exterior, params, prefix,
                      cfg: NetConfig):
-    """Shared head wiring: [decoded | attention rows | pooled opposite decode
-    | raw feature short circuit] through the hidden chain; the first hidden
-    layer reads the four as column blocks, the single pooled row repeated."""
+    """Shared head wiring: [decoded | pointers | pooled opposite decode | raw
+    feature short circuit] through the hidden chain; the first hidden layer
+    reads the four as column blocks, the single pooled row repeated."""
     n = f.shape[0]
     h = [decoded]
-    if attn_rows is not None:
-        if attn_rows.shape[0] != n:
-            raise SizeMismatch(f"attention rows {attn_rows.shape} vs {n} points")
-        h.append(attn_rows)
+    if pointers is not None:
+        if pointers.shape[0] != n:
+            raise SizeMismatch(f"pointers {pointers.shape} vs {n} points")
+        h.append(pointers)
     if exterior is not None:
         h.append(exterior)
     h.append(f)
@@ -287,31 +289,20 @@ def _regressor_trunk(f, decoded, attn_rows, exterior, params, prefix,
     return h
 
 
-def head_attention_input(attn: np.ndarray) -> ad.Tensor:
-    """The attention map as the heads read it, (A - 1/N) * N, as a plain
-    (graph-free) tensor.  The uniform baseline 1/N carries no information and
-    the deviations of row-stochastic entries are O(1/N); an uninformative map
-    then contributes ~zero instead of a large constant block, so heads only
-    start consuming attention once it sharpens."""
-    n = attn.shape[1]
-    h = attn + (-1.0 / n)
-    h *= float(n)
-    return ad.Tensor(h)
-
-
-def bidirectional_forward(f_s, f_m, head_attn, params, cfg: NetConfig):
+def bidirectional_forward(f_s, f_m, scene_ptr, model_ptr, params,
+                          cfg: NetConfig):
     """Both correspondence heads with inter-branch pooled-decode exchange;
-    the scene head reads the rows of ``head_attn`` (see
-    ``head_attention_input``), the model head its columns."""
+    with ``cfg.attention_for_match`` the scene head also reads
+    ``scene_ptr`` and the model head ``model_ptr`` (see ``head_pointers``).
+    The model head reads the scene only through pooled rows and
+    ``model_ptr``, so it does not depend on the order of scene points."""
     dec_s = _dense(f_s, params, "corr_s.dec", relu=True)
     dec_m = _dense(f_m, params, "corr_m.dec", relu=True)
-    attn_s = attn_m = None
-    if cfg.attention_for_match:
-        # the model head's columns, as a view: the map takes no gradient
-        attn_s, attn_m = head_attn, ad.Tensor(head_attn.values.T)
-    h_s = _regressor_trunk(f_s, dec_s, attn_s, ad.mean_pool_rows(dec_m),
+    if not cfg.attention_for_match:
+        scene_ptr = model_ptr = None
+    h_s = _regressor_trunk(f_s, dec_s, scene_ptr, ad.mean_pool_rows(dec_m),
                            params, "corr_s", cfg)
-    h_m = _regressor_trunk(f_m, dec_m, attn_m, ad.mean_pool_rows(dec_s),
+    h_m = _regressor_trunk(f_m, dec_m, model_ptr, ad.mean_pool_rows(dec_s),
                            params, "corr_m", cfg)
     pos_s = _dense(h_s, params, "corr_s.pos")
     nrm_s = ad.row_l2_normalize(_dense(h_s, params, "corr_s.nrm"))
@@ -320,14 +311,15 @@ def bidirectional_forward(f_s, f_m, head_attn, params, cfg: NetConfig):
     return (pos_s, nrm_s), (pos_m, nrm_m)
 
 
-def direct_pose_forward(f_s, head_attn, params, cfg: NetConfig):
-    """Per-point pose candidates: unit quaternion rows + translation rows."""
-    if cfg.attention_for_direct and head_attn is None:
+def direct_pose_forward(f_s, scene_ptr, params, cfg: NetConfig):
+    """Per-point pose candidates: unit quaternion rows + translation rows;
+    with ``cfg.attention_for_direct`` the head also reads ``scene_ptr``."""
+    if cfg.attention_for_direct and scene_ptr is None:
         raise ValueError("config wants attention for the direct branch but "
                          "no attention map was computed")
     decoded = _dense(f_s, params, "direct.dec", relu=True)
-    attn_rows = head_attn if cfg.attention_for_direct else None
-    h = _regressor_trunk(f_s, decoded, attn_rows, None, params, "direct", cfg)
+    pointers = scene_ptr if cfg.attention_for_direct else None
+    h = _regressor_trunk(f_s, decoded, pointers, None, params, "direct", cfg)
     quats = ad.row_l2_normalize(_dense(h, params, "direct.quat"))
     trans = _dense(h, params, "direct.trans")
     return quats, trans
@@ -436,17 +428,36 @@ def prepare_scene(scene: OrientedPointCloud, model: OrientedPointCloud,
     return PreparedScene(**vars(inputs), targets=targets, w_target=w)
 
 
+def head_pointers(a: np.ndarray, inputs: SceneInputs):
+    """The attention map ``a`` as the heads read it: for each point, the
+    attention-weighted [p | n] of the other cloud, as two plain (graph-free)
+    (N, 6) tensors.
+
+    A scene point's row of ``a`` weights the model's [P_m | N_m]; a model
+    point's column weights the centred scene's [P_s | N_s] and is normalized
+    by its sum.  The logits are cosines, so every entry is at least e^-2/N
+    and no column sums to 0.  Neither pointer depends on N or on the order
+    of the other cloud's points."""
+    scene_ptr = a @ inputs.xm.values
+    model_ptr = (a.T @ inputs.xs_psn.values) / a.sum(axis=0)[:, None]
+    return ad.Tensor(scene_ptr), ad.Tensor(model_ptr)
+
+
 def forward_all(prep: SceneInputs, params: dict, cfg: NetConfig,
                 frozen_head_attention: np.ndarray | None = None):
     """Run every active branch on a scene's inputs (a ``PreparedScene`` is
     one too); returns a dict of output tensors.
 
-    ``frozen_head_attention`` substitutes a constant map for the one the
-    heads read (used by finite-difference checks, where the detached
-    channel must not vary with the parameters being perturbed).
+    The heads read the attention map through ``head_pointers``, as a
+    detached input: task gradients would otherwise repurpose the similarity
+    network as free features and destroy the matching structure the
+    pair-weight supervision builds.  ``frozen_head_attention`` substitutes a
+    constant map for the one the pointers are built from (used by
+    finite-difference checks, where the detached channel must not vary with
+    the parameters being perturbed).
     """
     out = {}
-    attn = head_attn = None
+    attn = scene_ptr = model_ptr = None
     f_s, f_m = feature_forward(prep.xs_feat, prep.xm, params, cfg)
     if cfg.uses_attention_map:
         if cfg.attention_source == "psn":
@@ -457,15 +468,12 @@ def forward_all(prep: SceneInputs, params: dict, cfg: NetConfig,
         attn = attention_forward(f_sa, f_ma)
         out["f_sa"], out["f_ma"] = f_sa, f_ma
     if cfg.attention_for_match or cfg.attention_for_direct:
-        # heads consume the map as a detached input: task gradients would
-        # otherwise repurpose the similarity network as free features and
-        # destroy the matching structure the pair-weight supervision builds
-        head_attn = head_attention_input(
+        scene_ptr, model_ptr = head_pointers(
             attn.values if frozen_head_attention is None
-            else frozen_head_attention)
-    (pos_s, nrm_s), (pos_m, nrm_m) = bidirectional_forward(f_s, f_m, head_attn,
-                                                           params, cfg)
-    quats, trans = direct_pose_forward(f_s, head_attn, params, cfg)
+            else frozen_head_attention, prep)
+    (pos_s, nrm_s), (pos_m, nrm_m) = bidirectional_forward(
+        f_s, f_m, scene_ptr, model_ptr, params, cfg)
+    quats, trans = direct_pose_forward(f_s, scene_ptr, params, cfg)
     out.update(attention=attn, f_s=f_s, f_m=f_m,
                scene_pos=pos_s, scene_nrm=nrm_s,
                model_pos=pos_m, model_nrm=nrm_m,
@@ -524,8 +532,7 @@ def train(dataset: Dataset, cfg: NetConfig, seed: int = 0):
     ``autodiff.adam_step`` on the step's gradients, bit for bit.
     """
     rng = np.random.default_rng(seed)
-    n_points = len(dataset.model)
-    params = init_params(cfg, n_points, rng)
+    params = init_params(cfg, rng)
     state = ad.init_adam_state(params)
     model_points = dataset.model.positions
 
@@ -637,8 +644,9 @@ def evaluate_dataset(params: dict, cfg: NetConfig, dataset: Dataset,
     PPF target is built.
 
     Returns (records, diagnostics); diagnostics carries the mean test
-    correspondence L1 (averaged over both directions) used by the ablation
-    comparisons.
+    correspondence L1 of each branch head, ``corr_l1_scene`` (L_s) and
+    ``corr_l1_model`` (L_m), and ``corr_l1``, the mean of both directions
+    that the ablation comparisons use.
     """
     from .metrics import EvalRecord, add_metric, adds_metric, model_diameter
 
@@ -647,7 +655,7 @@ def evaluate_dataset(params: dict, cfg: NetConfig, dataset: Dataset,
     if not recs:
         raise ValueError(f"dataset has no {which!r} scenes")
     diameter = model_diameter(dataset.model)
-    records, corr_l1s = [], []
+    records, l_ss, l_ms, corr_l1s = [], [], [], []
     for i, rec in enumerate(recs):
         pred = predict(params, cfg, rec.scene, dataset.model,
                        seed=derive_scene_seed(seed, i))
@@ -661,8 +669,12 @@ def evaluate_dataset(params: dict, cfg: NetConfig, dataset: Dataset,
         targets = correspondence_targets(rec.scene, dataset.model, rec.gt,
                                          pred.center)
         l_s, l_m = branch_losses(pred.outputs, targets)
+        l_ss.append(l_s.item())
+        l_ms.append(l_m.item())
         corr_l1s.append(0.5 * (l_s.item() + l_m.item()))
-    diagnostics = {"corr_l1": float(np.mean(corr_l1s))}
+    diagnostics = {"corr_l1": float(np.mean(corr_l1s)),
+                   "corr_l1_scene": float(np.mean(l_ss)),
+                   "corr_l1_model": float(np.mean(l_ms))}
     return records, diagnostics
 
 

@@ -217,9 +217,12 @@ def poses_from_matches(c: CorrespondenceSet, num_pairs: int, seed: int) -> PoseS
         raise ValueError("num_pairs must be >= 1")
     (mp, mn), (sp, sn) = c.model_scene_sides()
     tag = "scene-branch" if c.direction == "scene_to_model" else "model-branch"
+    # uniform ordered pairs of distinct indices: the second is the first
+    # moved by a nonzero offset, modulo the set's size
     rng = np.random.default_rng(seed)
-    pairs = np.array([rng.choice(len(c), size=2, replace=False)
-                      for _ in range(num_pairs)])
+    first = rng.integers(len(c), size=num_pairs)
+    second = (first + rng.integers(1, len(c), size=num_pairs)) % len(c)
+    pairs = np.stack([first, second], axis=1)
     lengths = np.linalg.norm(np.stack([mn[pairs], sn[pairs]]), axis=-1)
     if np.any(np.abs(lengths - 1.0) > UNIT_TOL):
         raise ValueError("normals of sampled pairs must be unit length")

@@ -91,7 +91,8 @@ TOY_SEEDS = (0, 1, 2, 3, 4)
 @pytest.fixture(scope="module")
 def toy_runs():
     """Train full / no-attention / unsupervised-attention models on 5 seeds;
-    returns per-seed accuracy, correspondence L1, match rates, and times."""
+    returns per-seed accuracy, correspondence L1 (and its scene and model
+    branch means), match rates, and times."""
     probe_rng = np.random.default_rng(12345)
     probes = [random_pose(probe_rng, max_angle=0.4, trans_scale=0.05)
               for _ in range(8)]
@@ -111,6 +112,7 @@ def toy_runs():
                 "acc": accuracy(records, threshold_relative(0.1),
                                 error_fn=lambda r: r.add_error),
                 "corr_l1": diag["corr_l1"],
+                "l_s_l_m": (diag["corr_l1_scene"], diag["corr_l1_model"]),
                 "train_time": time.perf_counter() - t0,
             }
             if cfg.uses_attention_map:
@@ -331,8 +333,13 @@ class TestCriterion6ToyEndToEnd:
                    if row["full"]["corr_l1"] <= row["no_attn"]["corr_l1"])
         pairs = [(round(r["full"]["corr_l1"], 4),
                   round(r["no_attn"]["corr_l1"], 4)) for r in toy_runs]
+        branches = {name: [tuple(round(v, 4) for v in r[name]["l_s_l_m"])
+                           for r in toy_runs]
+                    for name in ("full", "no_attn")}
         report("6b (attention lowers corr L1 on >= 4/5 seeds)", wins >= 4,
-               f"wins {wins}/5, (full, no-attn) {pairs}")
+               f"wins {wins}/5, (full, no-attn) {pairs}; per-branch "
+               f"(L_s, L_m) full {branches['full']}, no-attn "
+               f"{branches['no_attn']}")
 
     def test_c_ppf_supervision_improves_match_rate(self, toy_runs):
         wins = sum(1 for row in toy_runs
@@ -480,7 +487,7 @@ class TestCriterion8RoundTrips:
             "head_hidden=6\n")
         for i in range(100):
             n = int(rng.integers(2, 10))
-            params = net.init_params(cfg.net_config(), n, rng)
+            params = net.init_params(cfg.net_config(), rng)
             path = tmp_path / f"k{i}.json"
             fileio.write_checkpoint(path, params, cfg, n)
             back, _, _ = fileio.read_checkpoint(path)

@@ -176,8 +176,7 @@ class TestGraphRelease:
             self, monkeypatch, kind, source):
         cfg = replace(TINY, attention_source=source)
         dataset = tiny_dataset(n_scenes=1, kind=kind)
-        params = net.init_params(cfg, len(dataset.model),
-                                 np.random.default_rng(0))
+        params = net.init_params(cfg, np.random.default_rng(0))
 
         def gradients(walk):
             ad.zero_grad(params)
@@ -239,8 +238,7 @@ class TestGraphRelease:
     def step_memory_mb(walk):
         cfg = net.NetConfig()
         dataset = tiny_dataset(n_scenes=1, n=128)
-        params = net.init_params(cfg, len(dataset.model),
-                                 np.random.default_rng(0))
+        params = net.init_params(cfg, np.random.default_rng(0))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -306,8 +304,7 @@ class TestLeafCallback:
     def test_fires_once_per_leaf_after_its_consumers(self, source):
         cfg = replace(TINY, attention_source=source)
         dataset = tiny_dataset(n_scenes=1)
-        params = net.init_params(cfg, len(dataset.model),
-                                 np.random.default_rng(0))
+        params = net.init_params(cfg, np.random.default_rng(0))
         _, loss = scene_loss(params, cfg, dataset)
         consumers, reported = self.walk(loss)
         assert sorted(map(id, reported)) == sorted(map(id, params.values()))

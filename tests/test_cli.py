@@ -269,7 +269,10 @@ class TestTrainEvalCommands:
                               "--set, lines 1 and 2 both set seed")
         assert not (tmp_path / "ds").exists()
 
-    def test_eval_rejects_wrong_point_count(self, tmp_path, toy_config, capsys):
+    def test_eval_accepts_a_dataset_of_another_point_count(self, tmp_path,
+                                                           toy_config, capsys):
+        # no parameter shape depends on N: a checkpoint trained at N = 48
+        # evaluates clouds of 64 points
         ds_dir = str(tmp_path / "ds")
         main(["synth", "--out", ds_dir, "--config", toy_config, "--seed", "0"])
         run = str(tmp_path / "run")
@@ -277,12 +280,14 @@ class TestTrainEvalCommands:
               "--config", toy_config, "--seed", "0"])
         other_ds = str(tmp_path / "ds2")
         main(["synth", "--out", other_ds, "--config", toy_config,
-              "--set", "n=32", "--seed", "0"])
+              "--set", "n=64", "--seed", "0"])
+        capsys.readouterr()
         rc = main(["eval", "--dataset", other_ds,
                    "--checkpoint", os.path.join(run, "checkpoint.json"),
                    "--out", str(tmp_path / "x"), "--config", toy_config])
-        assert rc == 1
-        assert "error" in json.loads(capsys.readouterr().err)
+        assert rc == 0 and capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "x.json").read_text())
+        assert report["count"] == 3 and 0.0 <= report["auc"] <= 1.0
 
 
     @staticmethod
@@ -292,9 +297,8 @@ class TestTrainEvalCommands:
         exit code and the checkpoint's path."""
         cfg = fileio.load_config(toy_config)
         ckpt = tmp_path / "checkpoint.json"
-        fileio.write_checkpoint(ckpt, init_params(cfg.net_config(), cfg.n,
-                                                  np.random.default_rng(0)),
-                                cfg, cfg.n)
+        params = init_params(cfg.net_config(), np.random.default_rng(0))
+        fileio.write_checkpoint(ckpt, params, cfg, cfg.n)
         line, payload = ckpt.read_bytes().split(b"\n", 1)
         edit(ckpt, json.loads(line), payload)
         return main(["eval", "--dataset", str(tmp_path / "ds"),
@@ -318,7 +322,7 @@ class TestTrainEvalCommands:
         assert_one_error_line(capsys, rc, "SchemaViolation", ckpt)
 
     def test_eval_rejects_v4_checkpoint(self, tmp_path, toy_config, capsys):
-        for fmt in ("checkpoint.v4", "checkpoint.v5"):
+        for fmt in ("checkpoint.v4", "checkpoint.v5", "checkpoint.v6"):
             rc, ckpt = self.eval_checkpoint(
                 tmp_path, toy_config,
                 lambda path, header, payload: write_old_checkpoint(
@@ -401,7 +405,8 @@ class TestTrainEvalCommands:
         assert capsys.readouterr().out == f"trained 0 epochs; wrote {run}\n"
         assert (run / "loss.csv").read_text() == fileio.LOSS_CSV_HEADER + "\n"
         params, cfg, n_points = fileio.read_checkpoint(run / "checkpoint.json")
-        initial = init_params(cfg.net_config(), n_points,
+        assert n_points == cfg.n
+        initial = init_params(cfg.net_config(),
                               np.random.default_rng(cfg.seed))
         assert params.keys() == initial.keys()
         assert all(np.array_equal(params[k].values, initial[k].values)

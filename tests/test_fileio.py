@@ -312,10 +312,10 @@ TINY_NET = ("psn_trunk=4,6\npsn_exterior_width=2\npsn_out_width=4\n"
 
 
 def tiny_checkpoint(tmp_path, seed, n=5):
-    """A valid checkpoint.v6 file of the tiny network, its parsed header and
+    """A valid checkpoint.v7 file of the tiny network, its parsed header and
     its payload bytes."""
     cfg = fileio.parse_config(TINY_NET)
-    params = init_params(cfg.net_config(), n, np.random.default_rng(seed))
+    params = init_params(cfg.net_config(), np.random.default_rng(seed))
     path = tmp_path / "ckpt.json"
     fileio.write_checkpoint(path, params, cfg, n)
     line, payload = path.read_bytes().split(b"\n", 1)
@@ -337,10 +337,17 @@ def edit_config(header, line):
 
 
 def write_old_checkpoint(path, header, payload, fmt, **config):
-    """Write the checkpoint in the layout of ``fmt``, v1 to v5, whose config
-    is a JSON object of typed values (plus ``config``).  v5 is v6 with that
-    config; v1 to v4 are one JSON object, whose tensor entries hold their
-    decimal values in v1 and the base64 of their bytes after that."""
+    """Write the checkpoint in the layout of ``fmt``, v1 to v6.  v6 is v7
+    under its own format name (its first head layers read N attention
+    values where v7's read 6, which a reader that stops at the format need
+    not see).  v1 to v5 hold the
+    config as a JSON object of typed values (plus ``config``): v5 is v7
+    with that config, and v1 to v4 are one JSON object, whose tensor entries
+    hold their decimal values in v1 and the base64 of their bytes after
+    that."""
+    if fmt == "checkpoint.v6":
+        write_back(path, header | {"format": fmt}, payload)
+        return
     typed = {k: list(v) if isinstance(v, tuple) else v
              for k, v in vars(fileio.parse_config(header["config"])).items()}
     old = {"format": fmt, "n_points": header["n_points"],
@@ -375,7 +382,7 @@ class TestCheckpoint:
     ], ids=["small_net", "non_default_values"])
     def test_round_trip(self, tmp_path, text):
         cfg = fileio.parse_config(text)
-        params = init_params(cfg.net_config(), 10, np.random.default_rng(7))
+        params = init_params(cfg.net_config(), np.random.default_rng(7))
         path = tmp_path / "ckpt.json"
         fileio.write_checkpoint(path, params, cfg, 10)
         back, cfg2, n = fileio.read_checkpoint(path)
@@ -525,6 +532,12 @@ class TestCheckpoint:
         with pytest.raises(SchemaViolation, match="checkpoint.v5.*retrain"):
             fileio.read_checkpoint(path)
 
+    def test_v6_checkpoint_rejected(self, tmp_path):
+        path, header, payload = tiny_checkpoint(tmp_path, 14)
+        write_old_checkpoint(path, header, payload, "checkpoint.v6")
+        with pytest.raises(SchemaViolation, match="checkpoint.v6.*retrain"):
+            fileio.read_checkpoint(path)
+
     def test_v4_checkpoint_rejected(self, tmp_path):
         path, header, payload = tiny_checkpoint(tmp_path, 14)
         write_old_checkpoint(path, header, payload, "checkpoint.v4")
@@ -539,13 +552,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize("n", [3, 17])
     def test_bytes_equal_header_line_and_tensor_bytes(self, tmp_path, n):
         cfg = fileio.parse_config(TINY_NET)
-        params = init_params(cfg.net_config(), n, np.random.default_rng(n))
+        params = init_params(cfg.net_config(), np.random.default_rng(n))
         path = tmp_path / "ckpt.json"
         fileio.write_checkpoint(path, params, cfg, n)
         fileio.write_config(tmp_path / "cfg.txt", cfg)
         tensors = sorted(params.items())
         header = {
-            "format": "checkpoint.v6",
+            "format": "checkpoint.v7",
             "n_points": n,
             "config": (tmp_path / "cfg.txt").read_text(),
             "tensors": [[name, list(p.values.shape)] for name, p in tensors],
@@ -559,7 +572,7 @@ class TestCheckpoint:
         cfg = fileio.parse_config(TINY_NET)
         for i in range(100):
             n = int(rng.integers(2, 12))
-            params = init_params(cfg.net_config(), n, rng)
+            params = init_params(cfg.net_config(), rng)
             path = tmp_path / f"c{i}.json"
             fileio.write_checkpoint(path, params, cfg, n)
             back, _, _ = fileio.read_checkpoint(path)
@@ -815,6 +828,28 @@ class TestDatasetDir:
         obj["scene"][key] = value
         (tmp_path / "manifest.json").write_text(json.dumps(obj))
         with pytest.raises(SchemaViolation, match=f"manifest.json: {message}"):
+            fileio.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda path, o: o["scenes"][1].update(split="val"),
+         "scene 1: split must be 'train' or 'test', got 'val'"),
+        (lambda path, o: o["scenes"][0].update(scene_seed="abc"),
+         "scene 0: scene_seed must be an integer, got 'abc'"),
+        (lambda path, o: o["scenes"][0].update(scene_seed=True),
+         "scene 0: scene_seed must be an integer, got True"),
+        (lambda path, o: fileio.write_ply(
+            path / o["scenes"][1]["file"],
+            make_cloud(np.random.default_rng(0), 10)),
+         "scene 1: scenes/scene_0001.ply has 10 points but model.ply has 16"),
+    ], ids=["split_not_train_or_test", "scene_seed_string", "scene_seed_bool",
+            "scene_point_count"])
+    def test_bad_scene_entry_names_manifest_and_scene(self, tmp_path, edit,
+                                                      message):
+        obj = json.loads(small_dataset_dir(tmp_path))
+        edit(tmp_path, obj)
+        (tmp_path / "manifest.json").write_text(json.dumps(obj))
+        with pytest.raises(SchemaViolation,
+                           match=f"manifest.json: {re.escape(message)}"):
             fileio.load_dataset(tmp_path)
 
 

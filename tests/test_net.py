@@ -48,7 +48,7 @@ class TestPsn:
         rng = np.random.default_rng(0)
         cloud = make_cloud(rng, 12)
         x = ad.Tensor(np.hstack([cloud.positions, cloud.normals]))
-        params = net.init_params(TINY, 12, np.random.default_rng(1))
+        params = net.init_params(TINY, np.random.default_rng(1))
         f_sa, f_ma = net.psn_forward(x, x, params, TINY)
         assert np.array_equal(f_sa.values, f_ma.values)
 
@@ -58,7 +58,7 @@ class TestPsn:
                                  make_cloud(rng, 10).normals]))
         b = ad.Tensor(np.hstack([make_cloud(rng, 10).positions,
                                  make_cloud(rng, 10).normals]))
-        params = net.init_params(TINY, 10, np.random.default_rng(3))
+        params = net.init_params(TINY, np.random.default_rng(3))
         f_sa, f_ma = net.psn_forward(a, b, params, TINY)
         for f in (f_sa, f_ma):
             np.testing.assert_allclose(np.linalg.norm(f.values, axis=1), 1.0,
@@ -70,7 +70,7 @@ class TestPsn:
         model = make_cloud(rng, 10)
         xs = np.hstack([cloud.positions, cloud.normals])
         xm = np.hstack([model.positions, model.normals])
-        params = net.init_params(TINY, 10, np.random.default_rng(5))
+        params = net.init_params(TINY, np.random.default_rng(5))
         f_sa, _ = net.psn_forward(ad.Tensor(xs), ad.Tensor(xm), params, TINY)
         perm = rng.permutation(10)
         f_sa_p, _ = net.psn_forward(ad.Tensor(xs[perm]), ad.Tensor(xm), params,
@@ -123,7 +123,7 @@ class TestAttention:
 class TestFeatureForward:
     def test_deterministic_and_width(self):
         prep = scene_tensors(make_cloud(np.random.default_rng(10), 9))
-        params = net.init_params(TINY, 9, np.random.default_rng(11))
+        params = net.init_params(TINY, np.random.default_rng(11))
         f_s, f_m = net.feature_forward(prep.xs_feat, prep.xm, params, TINY)
         f_s2, _ = net.feature_forward(prep.xs_feat, prep.xm, params, TINY)
         assert np.array_equal(f_s.values, f_s2.values)
@@ -133,7 +133,7 @@ class TestFeatureForward:
     def test_gradient_flows_through_feature_and_l1(self):
         rng = np.random.default_rng(12)
         prep = scene_tensors(make_cloud(rng, 6))
-        params = net.init_params(TINY, 6, np.random.default_rng(13))
+        params = net.init_params(TINY, np.random.default_rng(13))
         feat_params = {k: v for k, v in params.items() if k.startswith("feat_s")}
         target = ad.Tensor(rng.standard_normal((6, TINY.feat_out_width)))
 
@@ -148,7 +148,7 @@ class TestHeads:
     def test_correspondence_output_shapes_and_unit_normals(self):
         rng = np.random.default_rng(14)
         prep = scene_tensors(make_cloud(rng, 8))
-        params = net.init_params(TINY, 8, np.random.default_rng(15))
+        params = net.init_params(TINY, np.random.default_rng(15))
         outputs = net.forward_all(prep, params, TINY)
         for key in ("scene_pos", "model_pos"):
             assert outputs[key].shape == (8, 3)
@@ -160,7 +160,7 @@ class TestHeads:
     def test_direct_head_unit_quats_and_count(self):
         rng = np.random.default_rng(16)
         prep = scene_tensors(make_cloud(rng, 8))
-        params = net.init_params(TINY, 8, np.random.default_rng(17))
+        params = net.init_params(TINY, np.random.default_rng(17))
         outputs = net.forward_all(prep, params, TINY)
         assert outputs["quats"].shape == (8, 4)
         assert outputs["trans"].shape == (8, 3)
@@ -171,7 +171,7 @@ class TestHeads:
         rng = np.random.default_rng(18)
         ds = tiny_dataset(n_scenes=1, n=12, seed=19, occlusion=0.0)
         rec = ds.records[0]
-        params = net.init_params(TINY, 12, np.random.default_rng(20))
+        params = net.init_params(TINY, np.random.default_rng(20))
         prep = net.prepare_scene(rec.scene, ds.model, rec.gt, TINY)
         out = net.forward_all(prep, params, TINY)
         perm = rng.permutation(12)
@@ -185,28 +185,62 @@ class TestHeads:
                                    out["scene_pos"].values[perm], atol=1e-12)
         np.testing.assert_allclose(out_p["quats"].values,
                                    out["quats"].values[perm], atol=1e-12)
+        # the model head reads no scene-point order
+        for key in ("model_pos", "model_nrm"):
+            np.testing.assert_allclose(out_p[key].values, out[key].values,
+                                       rtol=0, atol=1e-12)
+
+    def test_head_pointers_are_attention_weighted_points(self):
+        # a one-hot map: scene point i attends to model point perm[i] alone
+        rng = np.random.default_rng(21)
+        inputs = net.scene_inputs(make_cloud(rng, 9), make_cloud(rng, 9))
+        perm = rng.permutation(9)
+        a = np.zeros((9, 9))
+        a[np.arange(9), perm] = 1.0
+        scene_ptr, model_ptr = net.head_pointers(a, inputs)
+        assert not scene_ptr.requires_grad and not model_ptr.requires_grad
+        assert np.array_equal(scene_ptr.values, inputs.xm.values[perm])
+        assert np.array_equal(model_ptr.values[perm], inputs.xs_psn.values)
+        # a dense map: each model pointer is the column-weighted mean
+        a = rng.uniform(0.1, 1.0, size=(9, 9))
+        a /= a.sum(axis=1, keepdims=True)
+        scene_ptr, model_ptr = net.head_pointers(a, inputs)
+        for j in range(9):
+            mean = sum(a[i, j] * inputs.xs_psn.values[i] for i in range(9))
+            np.testing.assert_allclose(model_ptr.values[j],
+                                       mean / a[:, j].sum(), atol=1e-15)
+            np.testing.assert_allclose(
+                scene_ptr.values[j],
+                sum(a[j, k] * inputs.xm.values[k] for k in range(9)),
+                atol=1e-15)
 
     def test_one_hot_attention_regressor_overfits(self):
-        # with one-hot attention rows at the true matches, the scene head can
-        # learn a lookup from row index to canonical coordinates; the heads
-        # get the centred one-hot rows without the N-fold scaling of
-        # net.head_attention_input
+        # with a one-hot map at the true matches, the scene head's pointer
+        # is its target [P_m | N_m] row; the head learns to read it out of
+        # features that carry nothing
         rng = np.random.default_rng(21)
-        cloud = make_cloud(rng, 20, frame="model")
-        diameter = model_diameter(cloud)
-        one_hot = ad.Tensor(np.eye(20) + (-1.0 / 20))
-        feat = ad.Tensor(np.hstack([cloud.positions, cloud.normals,
-                                    np.zeros((20, 14))]))  # fixed features
-        target_pos = ad.Tensor(cloud.positions)
-        target_nrm = ad.Tensor(cloud.normals)
+        model = make_cloud(rng, 20, frame="model")
+        diameter = model_diameter(model)
+        gt = random_pose(rng, max_angle=0.5, trans_scale=0.1)
+        perm = rng.permutation(20)
+        posed = pose_apply(gt, model, frame="scene")
+        scene = OrientedPointCloud(posed.positions[perm], posed.normals[perm],
+                                   "scene")
+        one_hot = np.zeros((20, 20))
+        one_hot[np.arange(20), perm] = 1.0
+        scene_ptr, model_ptr = net.head_pointers(
+            one_hot, net.scene_inputs(scene, model))
+        feat = ad.Tensor(np.zeros((20, 20)))
+        target_pos = ad.Tensor(model.positions[perm])
+        target_nrm = ad.Tensor(model.normals[perm])
         cfg = net.NetConfig(
             psn_trunk=(8, 12), psn_exterior_width=4, psn_out_width=8,
             feat_widths=(8, 12), feat_global_width=8,
             decode_width=12, head_hidden=(48,), epochs=1)
+        assert cfg.feat_out_width == feat.shape[1]
         rng_p = np.random.default_rng(22)
         params = {}
-        shapes = net.expected_param_shapes(cfg, 20)
-        for name, shape in shapes.items():
+        for name, shape in net.expected_param_shapes(cfg).items():
             if not name.startswith(("corr_s", "corr_m")):
                 continue
             if name.endswith(".b"):
@@ -220,15 +254,15 @@ class TestHeads:
             # decay the rate: the L1 sign gradients make Adam orbit at ~lr
             lr = 1e-2 if step < 100 else (2e-3 if step < 150 else 5e-4)
             ad.zero_grad(params)
-            (pos, nrm), _ = net.bidirectional_forward(feat, feat, one_hot,
-                                                      params, cfg)
+            (pos, nrm), _ = net.bidirectional_forward(
+                feat, feat, scene_ptr, model_ptr, params, cfg)
             loss = net.correspondence_loss(pos, nrm, target_pos, target_nrm)
             ad.backward(loss)
             ad.adam_step(params, {k: p.grad for k, p in params.items()
                                   if p.grad is not None}, state, lr=lr)
-        (pos, _), _ = net.bidirectional_forward(feat, feat, one_hot, params,
-                                                cfg)
-        err = np.mean(np.linalg.norm(pos.values - cloud.positions, axis=1))
+        (pos, _), _ = net.bidirectional_forward(feat, feat, scene_ptr,
+                                                model_ptr, params, cfg)
+        err = np.mean(np.linalg.norm(pos.values - target_pos.values, axis=1))
         assert err < 0.01 * diameter
 
 
@@ -285,7 +319,7 @@ class TestLosses:
             for ppf_supervision in (True, False):
                 cfg = net.NetConfig(**{**TINY.__dict__,
                                        "ppf_supervision": ppf_supervision})
-                params = net.init_params(cfg, 32, np.random.default_rng(40))
+                params = net.init_params(cfg, np.random.default_rng(40))
                 prep = net.prepare_scene(rec.scene, ds.model, rec.gt, cfg)
                 outputs = net.forward_all(prep, params, cfg)
                 loss, terms = net.scene_losses(prep, outputs, cfg,
@@ -312,7 +346,7 @@ class TestTraining:
         ds = tiny_dataset(n_scenes=2, n=32, seed=25)
         cfg = net.NetConfig(**{**TINY.__dict__, "lr": 0.0, "epochs": 3})
         params, log = net.train(ds, cfg, seed=0)
-        fresh = net.init_params(cfg, 32, np.random.default_rng(0))
+        fresh = net.init_params(cfg, np.random.default_rng(0))
         for name, p in params.items():
             assert np.array_equal(p.values, fresh[name].values)
         totals = [row["total"] for row in log]
@@ -337,7 +371,7 @@ class TestTraining:
                                "attention_for_direct": False,
                                "ppf_supervision": False})
         assert not cfg.uses_attention_map and not cfg.uses_psn
-        shapes = net.expected_param_shapes(cfg, 16)
+        shapes = net.expected_param_shapes(cfg)
         assert not any(k.startswith("psn.") for k in shapes)
         ds = tiny_dataset(n_scenes=2, n=32, seed=28)
         params, log = net.train(ds, net.NetConfig(**{**cfg.__dict__, "epochs": 1}),
@@ -363,7 +397,7 @@ def reference_train(dataset, cfg, seed=0, steps=None):
     """``net.train`` as forward, ``backward``, collect the gradients, then
     ``adam_step``; stops after ``steps`` steps when given."""
     rng = np.random.default_rng(seed)
-    params = net.init_params(cfg, len(dataset.model), rng)
+    params = net.init_params(cfg, rng)
     state = ad.init_adam_state(params)
     prepared = [net.prepare_scene(r.scene, dataset.model, r.gt, cfg)
                 for r in dataset.train_records]
@@ -489,7 +523,7 @@ class TestLeafByLeafAdam:
         monkeypatch.undo()
         want, _ = reference_train(ds, cfg, seed=1, steps=bad_step)
         assert_same_params(captured[0], want)
-        fresh = net.init_params(cfg, 24, np.random.default_rng(1))
+        fresh = net.init_params(cfg, np.random.default_rng(1))
         assert not np.array_equal(want["psn.t0.w"].values,
                                   fresh["psn.t0.w"].values)
 
@@ -498,7 +532,7 @@ class TestEndToEndGradient:
     def test_full_network_matches_finite_differences(self):
         ds = tiny_dataset(n_scenes=1, n=16, seed=30)
         rec = ds.records[0]
-        params = net.init_params(TINY, 16, np.random.default_rng(31))
+        params = net.init_params(TINY, np.random.default_rng(31))
         prep = net.prepare_scene(rec.scene, ds.model, rec.gt, TINY)
         # freeze the detached attention channel across FD evaluations
         frozen = net.forward_all(prep, params, TINY)["attention"].values.copy()
@@ -564,10 +598,12 @@ class TestPredictEvaluate:
         assert len(records) == 2
         assert all(r.adds_error <= r.add_error + 1e-12 for r in records)
         assert diag["corr_l1"] > 0.0
+        assert diag["corr_l1"] == pytest.approx(
+            0.5 * (diag["corr_l1_scene"] + diag["corr_l1_model"]), rel=1e-12)
 
     def test_attention_match_rate_probe(self):
         ds = tiny_dataset(n_scenes=1, n=32, seed=34)
-        params = net.init_params(TINY, 32, np.random.default_rng(35))
+        params = net.init_params(TINY, np.random.default_rng(35))
         rng = np.random.default_rng(36)
         poses = [random_pose(rng, max_angle=0.5, trans_scale=0.1)
                  for _ in range(3)]
@@ -686,7 +722,7 @@ class TestSinglePassEvaluation:
                           train_fraction=0.4)
         assert ds.symmetric == (kind == "box")
         cfg = net.NetConfig(**{**TINY.__dict__, **MECHANISMS[mechanism]})
-        params = net.init_params(cfg, 24, np.random.default_rng(41))
+        params = net.init_params(cfg, np.random.default_rng(41))
         ref_records, ref_diag, ref_preds = reference_evaluate(
             params, cfg, ds, which="test", seed=5)
 
@@ -721,7 +757,7 @@ class TestSinglePassEvaluation:
     def test_one_predict_and_one_forward_per_scene_no_ppf_target(
             self, monkeypatch):
         ds = tiny_dataset(n_scenes=5, n=24, seed=42, train_fraction=0.4)
-        params = net.init_params(TINY, 24, np.random.default_rng(43))
+        params = net.init_params(TINY, np.random.default_rng(43))
         calls = Counting(monkeypatch, "predict", "forward_all",
                          "attention_target").calls
         records, _ = net.evaluate_dataset(params, TINY, ds, which="test")
@@ -732,7 +768,7 @@ class TestSinglePassEvaluation:
     def test_predict_builds_one_pose_object(self, monkeypatch):
         # every candidate stays an array row; only the average is a Pose
         ds = tiny_dataset(n_scenes=1, n=24, seed=48)
-        params = net.init_params(TINY, 24, np.random.default_rng(49))
+        params = net.init_params(TINY, np.random.default_rng(49))
         built = []
         original = Pose.__post_init__
 
@@ -747,7 +783,7 @@ class TestSinglePassEvaluation:
 
     def test_attention_match_rate_builds_no_ppf_target(self, monkeypatch):
         ds = tiny_dataset(n_scenes=1, n=24, seed=44)
-        params = net.init_params(TINY, 24, np.random.default_rng(45))
+        params = net.init_params(TINY, np.random.default_rng(45))
         poses = [random_pose(np.random.default_rng(46), max_angle=0.5,
                              trans_scale=0.1) for _ in range(2)]
         calls = Counting(monkeypatch, "forward_all", "attention_target").calls
@@ -772,7 +808,7 @@ class TestSinglePassEvaluation:
         # the attention map is one op that keeps no transposed f_ma
         ds = tiny_dataset(n_scenes=1, n=24, seed=50)
         prep = net.scene_inputs(ds.records[0].scene, ds.model)
-        params = net.init_params(TINY, 24, np.random.default_rng(51))
+        params = net.init_params(TINY, np.random.default_rng(51))
         calls = Counting(monkeypatch, "concat_cols", "repeat_rows",
                          "transpose", "attention_map", module=ad).calls
         net.forward_all(prep, params, TINY)

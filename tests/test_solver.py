@@ -326,8 +326,8 @@ class TestPosesFromMatches:
 
 
     def test_matches_scalar_reference_loop(self):
-        # same seeded index draws as the per-pair loop it replaced, and the
-        # same poses in the same order
+        # the seeded index draws of the documented formula, solved pair by
+        # pair, give the same poses in the same order
         rng = np.random.default_rng(18)
         for direction in ("scene_to_model", "model_to_scene"):
             c, _ = noiseless_set(rng, 12, direction)
@@ -339,21 +339,52 @@ class TestPosesFromMatches:
             c = CorrespondenceSet(pos, nrm, c.target_positions,
                                   c.target_normals, direction)
             (mp, mn), (sp, sn) = c.model_scene_sides()
-            draws = np.random.default_rng(5)
+            draws = np.random.default_rng(6)
+            first = draws.integers(len(c), size=300)
+            second = (first + draws.integers(1, len(c), size=300)) % len(c)
+            # the pair (0, 2) is degenerate: point 2 is on point 0's normal
+            assert np.any((first == 0) & (second == 2))
             refs = []
-            for _ in range(300):
-                i, j = draws.choice(len(c), size=2, replace=False)
+            for i, j in zip(first, second):
                 ref = reference_pair_pose(((mp[i], mn[i]), (mp[j], mn[j])),
                                           ((sp[i], sn[i]), (sp[j], sn[j])))
                 if ref is not None:
                     refs.append(ref)
-            ps = poses_from_matches(c, num_pairs=300, seed=5)
+            ps = poses_from_matches(c, num_pairs=300, seed=6)
             assert 0 < len(ps) == len(refs) < 300
             for q, t, ref in zip(ps.quats, ps.trans, refs):
                 np.testing.assert_allclose(quat_to_matrix(q),
                                            ref.rotation_matrix(),
                                            rtol=0, atol=1e-12)
                 np.testing.assert_allclose(t, ref.t, rtol=0, atol=1e-12)
+
+    def test_pairs_are_distinct_and_uniform_over_ordered_pairs(
+            self, monkeypatch):
+        # the model x coordinate is the index; the solve sees the pairs
+        import pairpose.solver as solver
+
+        positions = np.array([[i, 0.0, 0.0] for i in range(4)])
+        normals = np.tile([0.0, 0.0, 1.0], (4, 1))
+        c = CorrespondenceSet(positions, normals, positions, normals,
+                              "model_to_scene")
+        seen = []
+
+        def recording_align_pairs(model_pos, model_nrm, scene_pos, scene_nrm):
+            seen.append(model_pos[:, :, 0].astype(int))
+            k = len(model_pos)
+            return (np.tile([1.0, 0.0, 0.0, 0.0], (k, 1)), np.zeros((k, 3)),
+                    np.ones(k, dtype=bool))
+
+        monkeypatch.setattr(solver, "align_pairs", recording_align_pairs)
+        poses_from_matches(c, num_pairs=12_000, seed=3)
+        (pairs,) = seen
+        assert pairs.shape == (12_000, 2)
+        assert np.all(pairs[:, 0] != pairs[:, 1])
+        counts = np.zeros((4, 4), dtype=int)
+        np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
+        # 1,000 expected per ordered pair, standard deviation about 29
+        ordered = counts[~np.eye(4, dtype=bool)]
+        assert np.all(np.abs(ordered - 1000) < 150), counts
 
     def test_non_unit_normals_rejected(self):
         rng = np.random.default_rng(19)
